@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, class_mask
+from .distance import nearest
 from .errors import (
     ConfigInvalid,
     DegenerateClass,
@@ -30,27 +31,6 @@ from .errors import (
     NonBinaryLabels,
     ValidationError,
 )
-
-_CHUNK = 256
-
-
-def _cross_minkowski(queries: np.ndarray, points: np.ndarray, q: float) -> np.ndarray:
-    """Distance matrix between two point sets, chunked to bound memory."""
-    out = np.empty((queries.shape[0], points.shape[0]), dtype=np.float64)
-    for start in range(0, queries.shape[0], _CHUNK):
-        block = queries[start:start + _CHUNK]
-        diff = np.abs(block[:, None, :] - points[None, :, :])
-        if q == 2.0:
-            np.multiply(diff, diff, out=diff)
-            out[start:start + _CHUNK] = np.sum(diff, axis=2)
-        else:
-            out[start:start + _CHUNK] = np.sum(diff ** q, axis=2)
-    if q == 2.0:
-        np.sqrt(out, out=out)
-    else:
-        np.power(out, 1.0 / q, out=out)
-    return out
-
 
 # ---------------------------------------------------------------------------
 # k-nearest neighbours
@@ -89,9 +69,7 @@ class KnnClassifier:
             raise DimensionMismatch(
                 f"queries have {feats.shape[1]} attributes, training data {self._train.dim}"
             )
-        dist = _cross_minkowski(feats, self._train.features, self.q)
-        # stable sort: equal distances keep the lower training index first
-        order = np.argsort(dist, axis=1, kind="stable")[:, : self.k]
+        order, _ = nearest(feats, self._train.features, self.k, self.q)
         labels = self._train.labels
         out = []
         for row in order:

@@ -21,10 +21,9 @@ from pathlib import Path
 
 from .anonymity import QuasiIdentifierSpec, equivalence_classes, risk_report
 from .classifiers import make_classifier
-from .data import Schema, derive_seed, load_csv
+from .data import Schema, derive_seed, load_csv, parse_label
 from .errors import StageError, ValidationError
 from .metrics import evaluate
-from .noise import DIAGONAL_SCALED, NoiseConfig
 from .pipeline import (
     DEFAULT_CLASSIFIERS,
     PipelineConfig,
@@ -34,7 +33,6 @@ from .pipeline import (
     run_pipeline,
     run_sweep,
 )
-from .smote import SmoteConfig
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -47,13 +45,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise ValidationError(message)
-
-
-def _parse_label(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        return text
 
 
 def _split_list(text: str) -> list[str]:
@@ -142,66 +133,68 @@ def _qi_from_args(args, file_cfg, schema):
     return QuasiIdentifierSpec(tuple(columns), {c: int(bins) for c in columns})
 
 
-def _pipeline_config(args) -> PipelineConfig:
-    file_cfg = None
-    config_path = getattr(args, "config", None)
-    if config_path:
-        file_cfg = json.loads(Path(config_path).read_text(encoding="utf-8"))
+# flag name -> key path in the PipelineConfig dict; a given flag overrides
+# the config-file value
+_FLAG_KEYS = {
+    "input": ("input",),
+    "schema": ("schema",),
+    "minority_label": ("minority_label",),
+    "smote_amount": ("smote", "amount_percent"),
+    "neighbors": ("smote", "neighbors"),
+    "noise": ("noise", "level"),
+    "noise_model": ("noise", "model"),
+    "k": ("k",),
+    "classifiers": ("classifiers",),
+    "test_fraction": ("test_fraction",),
+    "seed": ("seed",),
+    "out": ("out_dir",),
+}
 
-    input_path = _require(_setting(args, "input", file_cfg), "--input")
-    schema_path = _require(_setting(args, "schema", file_cfg), "--schema")
+
+def _config_file(args) -> dict | None:
+    config_path = getattr(args, "config", None)
+    if not config_path:
+        return None
+    return json.loads(Path(config_path).read_text(encoding="utf-8"))
+
+
+def _pipeline_config(args, file_cfg) -> PipelineConfig:
+    """Config-file values overlaid with the given flags; defaults come from
+    :meth:`PipelineConfig.from_dict`."""
+    payload = dict(file_cfg or {})
+    for section in ("smote", "noise"):
+        payload[section] = dict(payload.get(section, {}))
+    for name, path in _FLAG_KEYS.items():
+        value = getattr(args, name, None)
+        if value is not None:
+            target = payload[path[0]] if len(path) == 2 else payload
+            target[path[-1]] = value
+
+    input_path = _require(payload.get("input"), "--input")
+    schema_path = _require(payload.get("schema"), "--schema")
     if not Path(input_path).exists():
         raise ValidationError(f"input file not found: {input_path}")
     if not Path(schema_path).exists():
         raise ValidationError(f"schema file not found: {schema_path}")
     schema = Schema.load(schema_path)
 
-    minority = _require(_setting(args, "minority_label", file_cfg), "--minority-label")
+    minority = _require(payload.get("minority_label"), "--minority-label")
     if isinstance(minority, str):
-        minority = _parse_label(minority)
-
-    classifiers = _setting(args, "classifiers", file_cfg, list(DEFAULT_CLASSIFIERS))
-    if isinstance(classifiers, str):
-        classifiers = _split_list(classifiers)
-
-    smote_file = (file_cfg or {}).get("smote", {})
-    noise_file = (file_cfg or {}).get("noise", {})
+        payload["minority_label"] = parse_label(minority)
+    if isinstance(payload.get("classifiers"), str):
+        payload["classifiers"] = _split_list(payload["classifiers"])
     qi = _qi_from_args(args, file_cfg, schema)
-    if qi is None and file_cfg and file_cfg.get("qi"):
-        qi = QuasiIdentifierSpec.from_dict(file_cfg["qi"])
     if qi is not None:
-        qi.validate_against(schema)
+        payload["qi"] = qi.to_dict()
 
-    def flag(name, fallback):
-        value = getattr(args, name, None)
-        return fallback if value is None else value
-
-    out_dir = flag("out", (file_cfg or {}).get("out_dir", "out"))
-
-    return PipelineConfig(
-        input=str(input_path),
-        schema=str(schema_path),
-        minority_label=minority,
-        smote=SmoteConfig(
-            amount_percent=int(flag("smote_amount", smote_file.get("amount_percent", 100))),
-            neighbors=int(flag("neighbors", smote_file.get("neighbors", 5))),
-            minkowski_q=float(smote_file.get("minkowski_q", 2.0)),
-        ),
-        noise=NoiseConfig(
-            level=float(flag("noise", noise_file.get("level", 0.0))),
-            model=flag("noise_model", noise_file.get("model", DIAGONAL_SCALED)),
-        ),
-        k=int(flag("k", (file_cfg or {}).get("k", 2))),
-        qi=qi,
-        classifiers=tuple(classifiers),
-        test_fraction=float(flag("test_fraction", (file_cfg or {}).get("test_fraction", 0.3))),
-        seed=int(flag("seed", (file_cfg or {}).get("seed", 0))),
-        out_dir=str(out_dir),
-    )
+    cfg = PipelineConfig.from_dict(payload)
+    if cfg.qi is not None:
+        cfg.qi.validate_against(schema)
+    return cfg
 
 
 def _cmd_synthesize(args) -> int:
-    cfg = _pipeline_config(args)
+    cfg = _pipeline_config(args, _config_file(args))
     released, risk, reports = run_pipeline(cfg)
     print(f"released {len(released)} records to {cfg.out_dir}")
     print(f"risk at k={cfg.k}: {risk.risk:.4f} "
@@ -278,10 +271,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _pipeline_config(args)
-    file_cfg = None
-    if getattr(args, "config", None):
-        file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    file_cfg = _config_file(args)
+    cfg = _pipeline_config(args, file_cfg)
     levels = _setting(args, "noise_levels", file_cfg, "0.1,0.3,0.6,1.0")
     amounts = _setting(args, "smote_amounts", file_cfg, "130,220,370,500")
     ks = _setting(args, "k_values", file_cfg, str(cfg.k))

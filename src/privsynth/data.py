@@ -42,9 +42,11 @@ def derive_seed(master: int, *context) -> int:
 
     The derivation is a stable hash, so sub-streams keyed by stage name or
     record index are independent of each other and reproducible across runs
-    and platforms.
+    and platforms. Numpy scalars hash as the builtin values they hold, so
+    ``np.float64(0.3)`` and ``0.3`` give the same seed.
     """
-    payload = repr((int(master),) + tuple(context)).encode("utf-8")
+    context = tuple(c.item() if isinstance(c, np.generic) else c for c in context)
+    payload = repr((int(master),) + context).encode("utf-8")
     digest = hashlib.sha256(payload).digest()
     return int.from_bytes(digest[:8], "big")
 
@@ -185,9 +187,6 @@ class Dataset:
             provenance or self.provenance,
         )
 
-    def with_features(self, features: np.ndarray, provenance: str | None = None) -> "Dataset":
-        return Dataset(self.schema, features, self.labels, provenance or self.provenance)
-
     def column(self, name: str) -> np.ndarray:
         return self.features[:, self.schema.feature_index(name)]
 
@@ -209,7 +208,8 @@ def class_mask(labels: np.ndarray, label) -> np.ndarray:
     return np.asarray(labels == label, dtype=bool)
 
 
-def _parse_label(cell: str):
+def parse_label(cell: str):
+    """A label cell as an int when it parses as one, else the stripped text."""
     text = cell.strip()
     try:
         return int(text)
@@ -257,7 +257,7 @@ def load_csv(path, schema: Schema) -> Dataset:
                 if col_no == label_idx:
                     if not cell.strip():
                         raise NonNumericCell(row_no, name, "empty label")
-                    labels.append(_parse_label(cell))
+                    labels.append(parse_label(cell))
                     continue
                 try:
                     value = float(cell)

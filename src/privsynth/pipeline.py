@@ -42,17 +42,6 @@ from .smote import SmoteConfig, run_smote
 
 DEFAULT_CLASSIFIERS = ("knn", "nb", "dt")
 
-# Reference hyper-parameters of the gradient-boosting model that the wider
-# experiment protocol pairs with these runs. Recorded for protocol parity
-# only; no boosting implementation ships here.
-GRADIENT_BOOSTING_REFERENCE = {
-    "n_estimators": 61,
-    "min_child_weight": 7,
-    "max_depth": 6,
-    "gamma": 0.4,
-    "rounds": 10,
-}
-
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -320,9 +309,10 @@ def run_sweep(cfg: PipelineConfig, grid: SweepGrid) -> SweepReport:
     """Run the pipeline once per grid point and gather a report.
 
     Each point gets its own derived seed and output directory
-    ``<out_dir>/g<g>_E<E>_k<k>``. A failing point is recorded with
-    status "failed" and the sweep moves on. The aggregated report is
-    persisted as ``sweep.csv`` (deterministic columns only) and
+    ``<out_dir>/g<g>_E<E>_k<k>``. A point that fails with a library error
+    (:class:`PrivsynthError`) is recorded with status "failed" and the sweep
+    moves on; any other exception is a bug and propagates. The aggregated
+    report is persisted as ``sweep.csv`` (deterministic columns only) and
     ``sweep.json`` (including wall-clock timings).
     """
     schema = _stage("load", Schema.load, cfg.schema)
@@ -343,7 +333,7 @@ def run_sweep(cfg: PipelineConfig, grid: SweepGrid) -> SweepReport:
             _, risk, reports = run_stages(
                 data, point_cfg, point_seed, out_root / point_dir_name(g, amount, k)
             )
-        except Exception as exc:  # isolate the point, keep sweeping
+        except PrivsynthError as exc:  # isolate the point, keep sweeping
             elapsed = time.perf_counter() - started
             for name in cfg.classifiers:
                 rows.append(SweepRow(

@@ -19,9 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset, class_mask, concat_datasets, derive_seed, shuffle_class_subset
+from .distance import nearest
 from .errors import ConfigInvalid, DimensionMismatch, NotEnoughRecords
-
-_CHUNK = 256  # rows per block when forming pairwise distances
 
 
 @dataclass(frozen=True)
@@ -93,25 +92,6 @@ def minkowski_distance(a, b, q: float = 2.0) -> float:
     return float(np.sum(np.abs(a - b) ** q) ** (1.0 / q))
 
 
-def _pairwise_minkowski(points: np.ndarray, q: float) -> np.ndarray:
-    """Full pairwise distance matrix via a chunked linear scan."""
-    m = points.shape[0]
-    out = np.empty((m, m), dtype=np.float64)
-    for start in range(0, m, _CHUNK):
-        block = points[start:start + _CHUNK]
-        diff = np.abs(block[:, None, :] - points[None, :, :])
-        if q == 2.0:
-            np.multiply(diff, diff, out=diff)
-            out[start:start + _CHUNK] = np.sum(diff, axis=2)
-        else:
-            out[start:start + _CHUNK] = np.sum(diff ** q, axis=2)
-    if q == 2.0:
-        np.sqrt(out, out=out)
-    else:
-        np.power(out, 1.0 / q, out=out)
-    return out
-
-
 def nearest_neighbors(minority: Dataset, s: int, q: float = 2.0) -> NeighborTable:
     """Exact s-nearest-neighbour table over a single-class dataset.
 
@@ -128,12 +108,8 @@ def nearest_neighbors(minority: Dataset, s: int, q: float = 2.0) -> NeighborTabl
     if len(minority.class_counts()) != 1:
         raise ConfigInvalid("neighbour search expects a single-class dataset")
 
-    dist = _pairwise_minkowski(minority.features, q)
-    np.fill_diagonal(dist, np.inf)
-    # stable sort keeps the lower index first among equal distances
-    order = np.argsort(dist, axis=1, kind="stable")[:, :s]
-    picked = np.take_along_axis(dist, order, axis=1)
-    return NeighborTable(order, picked)
+    feats = minority.features
+    return NeighborTable(*nearest(feats, feats, s, q, exclude_self=True))
 
 
 def generate_synthetic(minority: Dataset, table: NeighborTable, cfg: SmoteConfig) -> Dataset:

@@ -1,3 +1,6 @@
+import tracemalloc
+from itertools import product
+
 import mpmath
 import numpy as np
 import pytest
@@ -36,25 +39,67 @@ def table(feats, labels):
     return Dataset(schema, feats, np.array(labels, dtype=object))
 
 
+def _knn_case(case):
+    rng = np.random.default_rng(3)
+    if case == "five_point":
+        points = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [4.0, 4.0], [5.0, 4.0]])
+        labels = ["a", "a", "a", "b", "b"]
+        queries = rng.uniform(-1, 6, size=(600, 2))
+    elif case == "duplicates":
+        # repeated training rows with conflicting labels
+        points = rng.integers(0, 3, size=(24, 2)).astype(float)
+        labels = rng.choice(["a", "b", "c"], size=24).tolist()
+        queries = rng.integers(-1, 4, size=(600, 2)).astype(float)
+    elif case == "ties":
+        # integer line: grid queries sit equidistant from two training points
+        points = np.arange(12, dtype=float)[:, None]
+        labels = ["a", "b", "c"] * 4
+        queries = rng.integers(-2, 14, size=(600, 1)) + rng.choice([0.0, 0.5], size=(600, 1))
+    else:
+        # sensor-rail rows clipped at +55 and -18 next to unit-scale data
+        points = np.vstack([rng.normal(size=(18, 3)), np.full((3, 3), 55.0),
+                            np.full((3, 3), -18.0)])
+        labels = rng.choice(["a", "b"], size=18).tolist() + ["fault"] * 6
+        queries = np.vstack([rng.normal(size=(560, 3)), rng.choice([55.0, -18.0], size=(40, 3))])
+    return points, labels, queries
+
+
 class TestKnn:
     def test_training_point_returns_own_label(self):
         train = table([[0.0, 0.0], [5.0, 5.0], [9.0, 0.0]], ["a", "b", "c"])
         assert knn_classify(train, [5.0, 5.0], k=1) == "b"
 
     def test_five_point_oracle(self):
-        points = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [4.0, 4.0], [5.0, 4.0]]
-        labels = ["a", "a", "a", "b", "b"]
-        train = table(points, labels)
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            query = rng.uniform(-1, 6, size=2)
-            ranked = sorted(
-                range(5), key=lambda i: (minkowski_distance(query, points[i], 2), i)
-            )[:3]
-            votes = [labels[i] for i in ranked]
-            best = max(set(votes), key=votes.count)
-            # hand-designed set has no vote ties at k=3 (two classes)
-            assert knn_classify(train, query, k=3) == best
+        for case, q in product(("five_point", "duplicates", "ties", "rails"), (1.0, 2.0, 3.0)):
+            # 600 queries cross two 256-row query-block boundaries
+            points, labels, queries = _knn_case(case)
+            n = len(points)
+            ranked_all = [
+                sorted(range(n), key=lambda i: (minkowski_distance(query, points[i], q), i))
+                for query in queries
+            ]
+            for k in (1, 3, n):
+                preds = KnnClassifier(k=k, q=q).fit(table(points, labels)).predict(queries)
+                for row, (ranked, pred) in enumerate(zip(ranked_all, preds)):
+                    votes = [labels[i] for i in ranked[:k]]
+                    best = max(votes.count(v) for v in votes)
+                    # vote ties go to the class of the nearest tied neighbour
+                    expected = next(v for v in votes if votes.count(v) == best)
+                    assert pred == expected, (case, q, k, row)
+
+    def test_predict_memory_is_bounded(self):
+        # a full 20000 x 500 distance matrix would take 80 MB on its own
+        rng = np.random.default_rng(4)
+        train = table(rng.normal(size=(500, 1)), rng.integers(0, 3, size=500).tolist())
+        clf = KnnClassifier(k=3).fit(train)
+        queries = rng.normal(size=(20000, 1))
+        tracemalloc.start()
+        try:
+            clf.predict(queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20000 * 500 * 8 / 4
 
     def test_vote_tie_broken_by_nearest_tied_class(self):
         # k=2: one 'a' at distance 1, one 'b' at distance 2 -> 1-1 tie,

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from privsynth.cli import main
+from privsynth.cli import _pipeline_config, build_parser, main
 from privsynth.data import stratified_split, write_csv
+from privsynth.pipeline import PipelineConfig
 from privsynth.surrogate import make_surrogate
 
 
@@ -63,6 +64,19 @@ class TestSynthesize:
         manifest = json.loads((tmp_path / "from-config" / "run_manifest.json").read_text())
         assert manifest["noise"]["level"] == 0.0
         assert manifest["smote"]["amount_percent"] == 100
+
+    def test_flag_defaults_are_the_config_defaults(self, workspace):
+        args = build_parser().parse_args([
+            "synthesize",
+            "--input", str(workspace / "data.csv"),
+            "--schema", str(workspace / "schema.json"),
+            "--minority-label", " 12 ",  # parsed like a CSV label cell
+        ])
+        assert _pipeline_config(args, None) == PipelineConfig.from_dict({
+            "input": str(workspace / "data.csv"),
+            "schema": str(workspace / "schema.json"),
+            "minority_label": 12,
+        })
 
     def test_missing_required_flag_is_validation_error(self, workspace, capsys):
         code = run(["synthesize", "--input", workspace / "data.csv"])

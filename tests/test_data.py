@@ -214,6 +214,14 @@ class TestSeedsAndHelpers:
         assert a != derive_seed(43, "split")
         assert 0 <= a < 2 ** 64
 
+    def test_derive_seed_numpy_scalars_match_builtins(self):
+        assert derive_seed(1, np.float64(0.3)) == derive_seed(1, 0.3)
+        assert derive_seed(1, np.int64(5)) == derive_seed(1, 5)
+        assert derive_seed(1, np.str_("noise")) == derive_seed(1, "noise")
+        # builtin contexts keep the seeds every earlier release derived
+        assert derive_seed(42, "split") == 2826387147738561114
+        assert derive_seed(7, "grid", repr(0.3), 500, 2) == 1395470996545622506
+
     def test_sorted_labels_natural_then_fallback(self):
         assert sorted_labels([3, 1, 2]) == [1, 2, 3]
         assert sorted_labels(["b", "a"]) == ["a", "b"]

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from privsynth import pipeline
 from privsynth.anonymity import QuasiIdentifierSpec
 from privsynth.data import write_csv
 from privsynth.errors import ConfigInvalid, StageError
@@ -167,6 +168,16 @@ class TestRunSweep:
         failed = next(r for r in report.rows if r.status == "failed")
         assert failed.error
         assert failed.accuracy is None
+
+    def test_programming_error_propagates(self, small_table, tmp_path, monkeypatch):
+        # only library errors are isolated per point; a bug must surface
+        def broken(*args, **kwargs):
+            raise TypeError("bug in a stage")
+
+        monkeypatch.setattr(pipeline, "perturb", broken)
+        cfg = config(small_table, tmp_path / "bug")
+        with pytest.raises(TypeError):
+            run_sweep(cfg, SweepGrid((0.1,), (100,), (2,)))
 
     def test_csv_deterministic_across_runs(self, small_table, tmp_path):
         grid = SweepGrid((0.0, 0.3), (100,), (2,))

@@ -1,4 +1,5 @@
 import time
+from itertools import product
 
 import numpy as np
 import pytest
@@ -24,6 +25,26 @@ def one_class(points, label="m"):
         tuple((f"f{i}", "numeric") for i in range(feats.shape[1])) + (("label", "label"),)
     )
     return Dataset(schema, feats, np.array([label] * feats.shape[0], dtype=object))
+
+
+def _adversarial_points():
+    rng = np.random.default_rng(7)
+    rails = np.vstack([rng.normal(size=(14, 3)), np.full((3, 3), 55.0), np.full((3, 3), -18.0)])
+    rails[[2, 9]] = [[55.0, -18.0, 55.0], [-18.0, 55.0, -18.0]]
+    return {
+        "normal": rng.normal(size=(12, 3)),
+        # repeated rows: zero distances tied across several records
+        "duplicates": rng.integers(0, 3, size=(20, 2)).astype(float),
+        # integer line: every interior point has equidistant neighbours
+        "ties": np.arange(15, dtype=float)[:, None],
+        # sensor-rail rows clipped at +55 and -18 next to unit-scale data
+        "rails": rails,
+        # more than two 256-row query blocks, dense in ties and duplicates
+        "blocks": rng.integers(0, 5, size=(600, 2)).astype(float),
+    }
+
+
+ADVERSARIAL_POINTS = _adversarial_points()
 
 
 class TestMinkowskiDistance:
@@ -77,14 +98,22 @@ class TestNearestNeighbors:
         assert table.distances[0, 0] == 0.0
 
     def test_full_sort_matches_bruteforce(self):
-        rng = np.random.default_rng(7)
-        points = rng.normal(size=(12, 3))
-        table = nearest_neighbors(one_class(points), s=11, q=2)
-        for j in range(12):
-            dists = [(minkowski_distance(points[j], points[i], 2), i)
-                     for i in range(12) if i != j]
-            expected = [i for _, i in sorted(dists)]
-            assert table.indices[j].tolist() == expected
+        for (case, points), q in product(ADVERSARIAL_POINTS.items(), (1.0, 2.0, 3.0)):
+            m = len(points)
+            table = nearest_neighbors(one_class(points), s=m - 1, q=q)
+            short = nearest_neighbors(one_class(points), s=2, q=q)
+            # every row of the small sets; rows at the 256-row query-block
+            # boundaries of the large one
+            rows = range(m) if m <= 40 else [0, 1, 255, 256, 257, 511, 512, 513, m - 1]
+            for j in rows:
+                dists = sorted((minkowski_distance(points[j], points[i], q), i)
+                               for i in range(m) if i != j)
+                expected = [i for _, i in dists]
+                where = (case, q, j)
+                assert table.indices[j].tolist() == expected, where
+                assert table.distances[j].tolist() == pytest.approx(
+                    [d for d, _ in dists], rel=1e-12, abs=1e-12), where
+                assert short.indices[j].tolist() == expected[:2], where
 
     def test_tie_break_prefers_lower_index(self):
         # records 1 and 2 are both at distance 1 from record 0
