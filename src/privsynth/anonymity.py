@@ -35,7 +35,7 @@ class QuasiIdentifierSpec:
     ``generalization`` maps a column name to one of:
       - an int  -> equal-width binning with that many bins,
       - "identity" -> keep values as they are,
-      - "drop" -> remove the column from the release entirely.
+      - "drop" -> leave the column out of the audit key (the release keeps it).
     Columns listed in ``columns`` but absent from the map default to
     "identity". The label column may not be a quasi-identifier.
     """
@@ -83,22 +83,28 @@ class QuasiIdentifierSpec:
         return cls(tuple(payload["columns"]), dict(payload.get("generalization", {})))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EquivalenceClasses:
-    """Partition of record indices by generalized QI value tuple."""
+    """Partition of records into classes 0..m-1: ``ids[i]`` is record i's
+    class and ``counts[c]`` the size of class c (``np.bincount(ids)``)."""
 
-    groups: dict
+    ids: np.ndarray
+    counts: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if any(len(idx) == 0 for idx in self.groups.values()):
+        object.__setattr__(self, "ids", np.asarray(self.ids, dtype=np.intp))
+        object.__setattr__(self, "counts", np.bincount(self.ids))
+        if not self.counts.all():
             raise ValidationError("equivalence classes must be non-empty")
 
     @property
-    def total(self) -> int:
-        return sum(len(idx) for idx in self.groups.values())
+    def groups(self) -> dict:
+        """``{class id: [record indices, ascending]}``."""
+        members = np.split(np.argsort(self.ids, kind="stable"), np.cumsum(self.counts))[:-1]
+        return {c: idx.tolist() for c, idx in enumerate(members)}
 
     def sizes(self) -> list[int]:
-        return [len(idx) for idx in self.groups.values()]
+        return self.counts.tolist()
 
 
 @dataclass(frozen=True)
@@ -123,9 +129,11 @@ class RiskReport:
             "satisfies_k_anonymity": self.satisfies_k_anonymity,
         }
 
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n",
-                              encoding="utf-8")
+        Path(path).write_text(self.to_json(), encoding="utf-8")
 
 
 def _bin_column(values: np.ndarray, bins: int) -> np.ndarray:
@@ -149,44 +157,35 @@ def generalize(data: Dataset, spec: QuasiIdentifierSpec) -> Dataset:
     from the schema and every record, and everything else passes through.
     """
     spec.validate_against(data.schema)
-    feats = data.features.copy()
-    to_drop = []
+    schema = data.schema.drop_features([c for c in spec.columns if spec.rule_for(c) == DROP])
+    feats = data.features[:, [data.schema.feature_index(n) for n in schema.feature_names]]
     for col in spec.columns:
         rule = spec.rule_for(col)
-        if rule == DROP:
-            to_drop.append(col)
-        elif isinstance(rule, int):
-            j = data.schema.feature_index(col)
+        if isinstance(rule, int):
+            j = schema.feature_index(col)
             feats[:, j] = _bin_column(feats[:, j], rule)
-    if to_drop:
-        keep = [j for j, name in enumerate(data.schema.feature_names) if name not in set(to_drop)]
-        feats = feats[:, keep]
-        schema = data.schema.drop_features(to_drop)
-    else:
-        schema = data.schema
     return Dataset(schema, feats, data.labels, data.provenance)
 
 
 def equivalence_classes(data: Dataset, spec: QuasiIdentifierSpec) -> EquivalenceClasses:
-    """Group records by exact equality of their generalized QI tuples."""
+    """Group records by exact (``==``) equality of their generalized QI values:
+    sort the rows on the kept QI columns and start a class at each change."""
     generalized = generalize(data, spec)
-    kept = [c for c in spec.columns if spec.rule_for(c) != DROP]
-    if kept:
-        cols = [generalized.schema.feature_index(c) for c in kept]
-        keys = generalized.features[:, cols]
-    else:
-        keys = np.zeros((len(generalized), 0))
-    groups: dict[tuple, list[int]] = {}
-    for i, row in enumerate(keys):
-        groups.setdefault(tuple(row.tolist()), []).append(i)
-    return EquivalenceClasses(groups)
+    keys = generalized.features[:, [generalized.schema.feature_index(c)
+                                    for c in spec.columns if spec.rule_for(c) != DROP]]
+    # lexsort needs at least one key; with every column dropped all rows tie
+    order = np.lexsort(keys.T) if keys.shape[1] else np.arange(len(keys))
+    ordered = keys[order]
+    starts = np.ones(len(keys), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    ids = np.empty(len(keys), dtype=np.intp)
+    ids[order] = np.cumsum(starts) - 1
+    return EquivalenceClasses(ids)
 
 
 def check_k_anonymity(classes: EquivalenceClasses, k: int) -> bool:
     """True iff every equivalence class holds at least k records."""
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
-    return all(size >= k for size in classes.sizes())
+    return risk_report(classes, k).satisfies_k_anonymity
 
 
 def risk_report(classes: EquivalenceClasses, k: int) -> RiskReport:
@@ -198,18 +197,14 @@ def risk_report(classes: EquivalenceClasses, k: int) -> RiskReport:
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    sizes = classes.sizes()
-    total = sum(sizes)
-    histogram: dict[int, int] = {}
-    for size in sizes:
-        histogram[size] = histogram.get(size, 0) + 1
-    at_risk = sum(size * count for size, count in histogram.items() if size < k)
-    risk = at_risk / total if total else 0.0
+    sizes, class_counts = np.unique(classes.counts, return_counts=True)
+    total = len(classes.ids)
+    at_risk = int(classes.counts[classes.counts < k].sum())
     return RiskReport(
         k=k,
-        class_size_histogram=histogram,
+        class_size_histogram=dict(zip(sizes.tolist(), class_counts.tolist())),
         at_risk_count=at_risk,
         total=total,
-        risk=risk,
+        risk=at_risk / total if total else 0.0,
         satisfies_k_anonymity=at_risk == 0,
     )

@@ -9,7 +9,8 @@ Subcommands:
 
 Options may come from flags or from a JSON config file (--config) whose keys
 mirror the pipeline configuration; explicit flags win over file values.
-Exit codes: 0 success, 1 validation error, 2 runtime stage error.
+Exit codes: 0 success, 1 validation error, 2 runtime stage or I/O error.
+Any other exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 from .anonymity import QuasiIdentifierSpec, equivalence_classes, risk_report
 from .classifiers import make_classifier
 from .data import Schema, derive_seed, load_csv, parse_label
-from .errors import StageError, ValidationError
+from .errors import PrivsynthError, StageError, ValidationError
 from .metrics import evaluate
 from .pipeline import (
     DEFAULT_CLASSIFIERS,
@@ -221,17 +222,16 @@ def _cmd_audit(args) -> int:
         risk = risk_report(classes, k)
     except ValidationError:
         raise
-    except Exception as exc:
+    except PrivsynthError as exc:
         raise StageError("audit", exc) from exc
 
-    text = json.dumps(risk.to_dict(), indent=2, sort_keys=True)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "risk.json").write_text(text + "\n", encoding="utf-8")
+        risk.save(out / "risk.json")
         print(f"wrote {out / 'risk.json'}")
     else:
-        print(text)
+        sys.stdout.write(risk.to_json())
     return EXIT_OK
 
 
@@ -255,7 +255,7 @@ def _cmd_evaluate(args) -> int:
         ]
     except ValidationError:
         raise
-    except Exception as exc:
+    except PrivsynthError as exc:
         raise StageError("evaluate", exc) from exc
 
     for report in reports:
@@ -321,13 +321,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
     except (ValidationError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except Exception as exc:  # anything unexpected counts as a runtime failure
+    except (PrivsynthError, OSError) as exc:  # stage and I/O failures; a bug propagates
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -1,3 +1,6 @@
+import json
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -116,37 +119,74 @@ class TestEquivalenceClasses:
 
     def test_partition_law_random_tables(self):
         rng = np.random.default_rng(0)
-        for _ in range(25):
-            n = int(rng.integers(2, 100))
-            data = table(rng.integers(0, 4, size=(n, 3)).astype(float))
-            spec = QuasiIdentifierSpec(("f0", "f1", "f2"), {})
-            classes = equivalence_classes(data, spec)
+        cases = [(rng.integers(0, 4, size=(int(rng.integers(2, 100)), 3)), {}, None)
+                 for _ in range(25)]
+        cases += [
+            (rng.normal(size=(30, 3)), dict.fromkeys(("f0", "f1", "f2"), "drop"), [30]),
+            (np.empty((0, 3)), {}, []),
+            (rng.normal(size=(1, 3)), {"f0": 3}, [1]),
+            (rng.integers(0, 2, size=(600, 3)), {}, None),
+            (rng.normal(size=(500, 3)), {"f0": 5, "f1": 5, "f2": "drop"}, None),
+        ]
+        for feats, rules, sizes in cases:
+            data = table(np.asarray(feats, dtype=float).reshape(-1, 3))
+            classes = equivalence_classes(data, QuasiIdentifierSpec(("f0", "f1", "f2"), rules))
+            n = len(data)
+            assert classes.ids.dtype == np.intp and classes.ids.shape == (n,)
             assert sum(classes.sizes()) == n
+            assert np.array_equal(classes.counts, np.bincount(classes.ids))
+            assert [len(idx) for idx in classes.groups.values()] == classes.sizes()
+            members = sorted(i for idx in classes.groups.values() for i in idx)
+            assert members == list(range(n))
+            assert all(classes.ids[i] == c for c, idx in classes.groups.items() for i in idx)
+            if sizes is not None:
+                assert classes.sizes() == sizes
 
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(1)
-        for _ in range(25):
-            n = int(rng.integers(2, 100))
-            data = table(rng.normal(size=(n, 2)))
-            spec = QuasiIdentifierSpec(("f0", "f1"), {"f0": 3, "f1": 3})
+        cases = [(rng.normal(size=(int(rng.integers(2, 100)), 2)), {"f0": 3, "f1": 3})
+                 for _ in range(25)]
+        cases += [
+            (rng.normal(size=(40, 2)), {"f0": "drop", "f1": "drop"}),
+            (np.empty((0, 2)), {"f0": "identity"}),
+            (rng.normal(size=(1, 2)), {"f0": 3, "f1": 3}),
+            (np.array([[-0.0, 1.0], [0.0, 1.0], [0.0, 2.0], [-0.0, 2.0]]), {}),
+            (rng.integers(0, 3, size=(90, 2)) * 0.5, {}),
+            (rng.normal(size=(400, 2)), {"f0": 8, "f1": "identity"}),
+            (rng.normal(size=(400, 2)), {"f0": 6, "f1": 6}),
+        ]
+        for feats, rules in cases:
+            data = table(np.asarray(feats).reshape(-1, 2))
+            spec = QuasiIdentifierSpec(("f0", "f1"), rules)
             classes = equivalence_classes(data, spec)
             got = sorted(sorted(v) for v in classes.groups.values())
-            expected = bruteforce_groups(generalize(data, spec), ("f0", "f1"))
+            kept = [c for c in spec.columns if spec.rule_for(c) != "drop"]
+            expected = bruteforce_groups(generalize(data, spec), kept)
             assert got == expected
 
+            sizes = [len(group) for group in expected]
+            for k in (1, 2, 3):
+                report = risk_report(classes, k)
+                at_risk = sum(size for size in sizes if size < k)
+                assert report.class_size_histogram == Counter(sizes)
+                assert report.at_risk_count == at_risk
+                assert report.total == len(data)
+                assert report.risk == (at_risk / len(data) if len(data) else 0.0)
+                assert check_k_anonymity(classes, k) == (at_risk == 0)
+                hist = report.class_size_histogram
+                counts = [*hist, *hist.values(), report.at_risk_count, report.total]
+                assert all(type(v) is int for v in counts)
+                json.dumps(report.to_dict())
+
     def test_empty_group_rejected(self):
+        # class 1 has no records
         with pytest.raises(ValidationError):
-            EquivalenceClasses({(0.0,): []})
+            EquivalenceClasses(np.array([0, 2]))
 
 
 class TestKAnonymity:
     def groups_of(self, *sizes):
-        groups = {}
-        start = 0
-        for i, size in enumerate(sizes):
-            groups[(float(i),)] = list(range(start, start + size))
-            start += size
-        return EquivalenceClasses(groups)
+        return EquivalenceClasses(np.repeat(np.arange(len(sizes)), sizes))
 
     def test_k1_always_true(self):
         assert check_k_anonymity(self.groups_of(1, 1, 5), 1)
@@ -201,8 +241,6 @@ class TestRiskReport:
         report = risk_report(self.groups_of(1, 4), 2)
         path = tmp_path / "risk.json"
         report.save(path)
-        import json
-
         payload = json.loads(path.read_text())
         assert payload["k"] == 2
         assert payload["risk"] == pytest.approx(0.2)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from privsynth import cli
 from privsynth.cli import _pipeline_config, build_parser, main
 from privsynth.data import stratified_split, write_csv
 from privsynth.pipeline import PipelineConfig
@@ -128,6 +129,19 @@ class TestAudit:
         assert code == 0
         payload = json.loads((tmp_path / "audit" / "risk.json").read_text())
         assert payload["k"] == 3
+
+    def test_programming_error_propagates(self, workspace, monkeypatch):
+        # only library errors become exit codes; a bug keeps its traceback
+        def broken(*args, **kwargs):
+            raise TypeError("bug in the audit")
+
+        monkeypatch.setattr(cli, "equivalence_classes", broken)
+        with pytest.raises(TypeError):
+            run([
+                "audit",
+                "--input", workspace / "data.csv",
+                "--schema", workspace / "schema.json",
+            ])
 
     def test_unknown_qi_column(self, workspace):
         code = run([

@@ -2,11 +2,12 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from privsynth import pipeline
 from privsynth.anonymity import QuasiIdentifierSpec
-from privsynth.data import write_csv
+from privsynth.data import Dataset, derive_seed, stratified_split, write_csv
 from privsynth.errors import ConfigInvalid, StageError
 from privsynth.noise import NoiseConfig
 from privsynth.pipeline import (
@@ -118,8 +119,6 @@ class TestRunPipeline:
                      noise=NoiseConfig(level=0.0))
         released, _, _ = run_pipeline(cfg)
         # rebuild the split exactly as the pipeline does
-        from privsynth.data import derive_seed, stratified_split
-
         train, test = stratified_split(data, 0.3, derive_seed(77, "split"))
         train_keys = {row.tobytes() for row in train.features}
         released_keys = {row.tobytes() for row in released.features}
@@ -127,6 +126,24 @@ class TestRunPipeline:
             key = row.tobytes()
             if key not in train_keys:  # duplicates may straddle the split
                 assert key not in released_keys
+
+    def test_leakage_guard_fires(self, small_table, tmp_path, monkeypatch):
+        data, _, _ = small_table
+        train, test = stratified_split(data, 0.3, derive_seed(77, "split"))
+        train_keys = {row.tobytes() for row in train.features}
+        i = next(i for i, row in enumerate(test.features) if row.tobytes() not in train_keys)
+        real_smote = pipeline.run_smote
+
+        def leaky(rows, minority_label, cfg):
+            merged = real_smote(rows, minority_label, cfg)
+            return Dataset(merged.schema, np.vstack([merged.features, test.features[i:i + 1]]),
+                           np.append(merged.labels, test.labels[i]), merged.provenance)
+
+        monkeypatch.setattr(pipeline, "run_smote", leaky)
+        cfg = config(small_table, tmp_path / "leak", noise=NoiseConfig(level=0.0))
+        with pytest.raises(StageError) as info:
+            run_pipeline(cfg)
+        assert info.value.stage == "perturb"
 
 
 class TestRunSweep:
