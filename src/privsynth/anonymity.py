@@ -150,29 +150,36 @@ def _bin_column(values: np.ndarray, bins: int) -> np.ndarray:
     return np.floor((values - lo) * bins / (width + 1e-9 * width))
 
 
+def _qi_keys(data: Dataset, spec: QuasiIdentifierSpec) -> tuple[list[str], np.ndarray]:
+    """The kept (not dropped) QI column names in spec order, and a fresh
+    ``(n, len(kept))`` matrix of their generalized values."""
+    spec.validate_against(data.schema)
+    kept = [c for c in spec.columns if spec.rule_for(c) != DROP]
+    keys = data.features[:, [data.schema.feature_index(c) for c in kept]]
+    for j, col in enumerate(kept):
+        rule = spec.rule_for(col)
+        if isinstance(rule, int):
+            keys[:, j] = _bin_column(keys[:, j], rule)
+    return kept, keys
+
+
 def generalize(data: Dataset, spec: QuasiIdentifierSpec) -> Dataset:
     """Apply the per-column generalization rules.
 
     Binned columns are replaced by their bin index, dropped columns vanish
     from the schema and every record, and everything else passes through.
     """
-    spec.validate_against(data.schema)
+    kept, keys = _qi_keys(data, spec)
     schema = data.schema.drop_features([c for c in spec.columns if spec.rule_for(c) == DROP])
     feats = data.features[:, [data.schema.feature_index(n) for n in schema.feature_names]]
-    for col in spec.columns:
-        rule = spec.rule_for(col)
-        if isinstance(rule, int):
-            j = schema.feature_index(col)
-            feats[:, j] = _bin_column(feats[:, j], rule)
+    feats[:, [schema.feature_index(c) for c in kept]] = keys
     return Dataset(schema, feats, data.labels, data.provenance)
 
 
 def equivalence_classes(data: Dataset, spec: QuasiIdentifierSpec) -> EquivalenceClasses:
     """Group records by exact (``==``) equality of their generalized QI values:
     sort the rows on the kept QI columns and start a class at each change."""
-    generalized = generalize(data, spec)
-    keys = generalized.features[:, [generalized.schema.feature_index(c)
-                                    for c in spec.columns if spec.rule_for(c) != DROP]]
+    _, keys = _qi_keys(data, spec)
     # lexsort needs at least one key; with every column dropped all rows tie
     order = np.lexsort(keys.T) if keys.shape[1] else np.arange(len(keys))
     ordered = keys[order]

@@ -70,16 +70,11 @@ class KnnClassifier:
                 f"queries have {feats.shape[1]} attributes, training data {self._train.dim}"
             )
         order, _ = nearest(feats, self._train.features, self.k, self.q)
-        labels = self._train.labels
-        out = []
-        for row in order:
-            ranked = [labels[i] for i in row]
-            counts: dict = {}
-            for lab in ranked:
-                counts[lab] = counts.get(lab, 0) + 1
-            best = max(counts.values())
-            out.append(next(lab for lab in ranked if counts[lab] == best))
-        return out
+        ranked = self._train.labels[order]  # (n, k), nearest first
+        # votes[r, j]: how many of row r's k neighbours share neighbour j's label;
+        # the first maximum is the nearest neighbour of a most-voted class
+        votes = (ranked[:, :, None] == ranked[:, None, :]).sum(axis=2)
+        return ranked[np.arange(len(ranked)), votes.argmax(axis=1)].tolist()
 
 
 def knn_classify(train: Dataset, query, k: int, q: float = 2.0):
@@ -298,58 +293,41 @@ class DecisionTreeModel:
     min_leaf: int = 0
 
 
-def _gini(counts: np.ndarray) -> float:
-    n = counts.sum()
-    if n == 0:
-        return 0.0
-    p = counts / n
-    return float(1.0 - np.sum(p * p))
-
-
 def _best_split(feats: np.ndarray, codes: np.ndarray, n_classes: int, min_leaf: int):
     """Best (gain, attribute, threshold) over all axis-aligned splits.
 
     Candidates are midpoints between consecutive distinct sorted values.
-    Attributes are scanned in ascending order and equal gains keep the first
-    candidate found, so ties resolve to the lower attribute index and then
-    the lower threshold.
+    Every attribute is sorted at once and every candidate scored in one
+    array pass, in two ``(n, d, n_classes)`` float arrays; the first maximum
+    of the gains laid out attribute-major resolves ties to the lower
+    attribute index and then the lower threshold.
     """
-    n = feats.shape[0]
-    parent = _gini(np.bincount(codes, minlength=n_classes))
+    n, d = feats.shape
+    p = np.bincount(codes, minlength=n_classes) / n
+    parent = 1.0 - np.sum(p * p)
+    order = np.argsort(feats, axis=0, kind="stable")
+    vals = np.take_along_axis(feats, order, axis=0)
+    # cum[i, a] = class counts of the i + 1 lowest rows along attribute a
+    cum = np.zeros((n, d, n_classes))
+    cum[np.arange(n)[:, None], np.arange(d), codes[order]] = 1.0
+    np.cumsum(cum, axis=0, out=cum)
+    counts = cum[:-1]
+    n_left = np.arange(1, n)[:, None]
+    n_right = n - n_left
+    share = np.divide(counts, n_left[:, :, None])
+    gini_left = 1.0 - np.sum(np.square(share, out=share), axis=2)
+    np.subtract(cum[-1], counts, out=counts)  # counts now holds the right sides
+    np.divide(counts, n_right[:, :, None], out=share)
+    gini_right = 1.0 - np.sum(np.square(share, out=share), axis=2)
+    weighted = (n_left * gini_left + n_right * gini_right) / n
     # zero-gain splits stay eligible: structure like XOR only pays off a
     # level deeper, and depth / min_leaf / purity bound the growth
-    best_gain = -np.inf
-    best_attr = -1
-    best_thresh = 0.0
-    for attr in range(feats.shape[1]):
-        col = feats[:, attr]
-        order = np.argsort(col, kind="stable")
-        vals = col[order]
-        boundaries = np.flatnonzero(vals[:-1] != vals[1:])
-        if boundaries.size == 0:
-            continue
-        onehot = np.zeros((n, n_classes))
-        onehot[np.arange(n), codes[order]] = 1.0
-        cum = np.cumsum(onehot, axis=0)
-        left_counts = cum[boundaries]
-        total = cum[-1]
-        right_counts = total - left_counts
-        n_left = boundaries + 1
-        n_right = n - n_left
-        valid = (n_left >= min_leaf) & (n_right >= min_leaf)
-        if not valid.any():
-            continue
-        gini_left = 1.0 - np.sum((left_counts / n_left[:, None]) ** 2, axis=1)
-        gini_right = 1.0 - np.sum((right_counts / n_right[:, None]) ** 2, axis=1)
-        weighted = (n_left * gini_left + n_right * gini_right) / n
-        gains = np.where(valid, parent - weighted, -np.inf)
-        pos = int(np.argmax(gains))  # first max = lowest threshold
-        if gains[pos] > best_gain:
-            best_gain = float(gains[pos])
-            best_attr = attr
-            b = boundaries[pos]
-            best_thresh = float((vals[b] + vals[b + 1]) / 2.0)
-    return best_gain, best_attr, best_thresh
+    valid = (vals[:-1] != vals[1:]) & (n_left >= min_leaf) & (n_right >= min_leaf)
+    gains = np.where(valid, parent - weighted, -np.inf).T
+    attr, pos = divmod(int(np.argmax(gains)), n - 1)
+    if gains[attr, pos] == -np.inf:
+        return -np.inf, -1, 0.0
+    return float(gains[attr, pos]), attr, float((vals[pos, attr] + vals[pos + 1, attr]) / 2.0)
 
 
 def _grow(feats, codes, n_classes, depth, max_depth, min_leaf) -> _TreeNode:

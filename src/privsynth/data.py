@@ -209,12 +209,21 @@ def class_mask(labels: np.ndarray, label) -> np.ndarray:
 
 
 def parse_label(cell: str):
-    """A label cell as an int when it parses as one, else the stripped text."""
+    """A label cell as an int when it is an int's canonical text, else the text.
+
+    Surrounding whitespace is stripped first. The int is returned only when
+    ``str(int(text)) == text``, so ``"12"`` and ``"-3"`` load as ints while
+    ``"007"``, ``"+5"``, ``"-0"`` and ``"1_000"`` stay strings and survive a
+    ``write_csv`` -> ``load_csv`` round trip. The file holds no type, so a
+    string label ``"12"`` still loads as the int ``12``, and a string label
+    with surrounding whitespace loses it.
+    """
     text = cell.strip()
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         return text
+    return value if str(value) == text else text
 
 
 def load_csv(path, schema: Schema) -> Dataset:

@@ -255,7 +255,7 @@ def run_stages(
     if leaked:
         raise StageError("perturb", ConfigInvalid("test records leaked into the release"))
 
-    spec = _audit_spec(cfg, released.schema)
+    spec = _stage("audit", _audit_spec, cfg, released.schema)
     classes = _stage("audit", equivalence_classes, released, spec)
     risk = _stage("audit", risk_report, classes, cfg.k)
 
@@ -309,9 +309,10 @@ def run_sweep(cfg: PipelineConfig, grid: SweepGrid) -> SweepReport:
     """Run the pipeline once per grid point and gather a report.
 
     Each point gets its own derived seed and output directory
-    ``<out_dir>/g<g>_E<E>_k<k>``. A point that fails with a library error
-    (:class:`PrivsynthError`) is recorded with status "failed" and the sweep
-    moves on; any other exception is a bug and propagates. The aggregated
+    ``<out_dir>/g<g>_E<E>_k<k>``. A point whose stage fails with a library
+    error (:class:`StageError`) is recorded with status "failed" and an
+    ``error`` of the form ``"<stage>: <error type>: <message>"``, and the
+    sweep moves on; any other exception is a bug and propagates. The aggregated
     report is persisted as ``sweep.csv`` (deterministic columns only) and
     ``sweep.json`` (including wall-clock timings).
     """
@@ -333,13 +334,13 @@ def run_sweep(cfg: PipelineConfig, grid: SweepGrid) -> SweepReport:
             _, risk, reports = run_stages(
                 data, point_cfg, point_seed, out_root / point_dir_name(g, amount, k)
             )
-        except PrivsynthError as exc:  # isolate the point, keep sweeping
+        except StageError as exc:  # isolate the point, keep sweeping
             elapsed = time.perf_counter() - started
             for name in cfg.classifiers:
                 rows.append(SweepRow(
                     noise_level=float(g), smote_amount=int(amount), k=int(k),
                     classifier=name, status="failed", wall_seconds=elapsed,
-                    error=str(exc),
+                    error=f"{exc.stage}: {type(exc.cause).__name__}: {exc.cause}",
                 ))
             continue
         elapsed = time.perf_counter() - started

@@ -11,6 +11,7 @@ from privsynth.classifiers import (
     LinearSvmModel,
     NaiveBayesClassifier,
     SvmClassifier,
+    _TreeNode,
     dt_classify,
     dt_train,
     knn_classify,
@@ -20,7 +21,7 @@ from privsynth.classifiers import (
     svm_decision,
     svm_train,
 )
-from privsynth.data import Dataset, Schema
+from privsynth.data import Dataset, Schema, stratified_split
 from privsynth.errors import (
     ConfigInvalid,
     DegenerateClass,
@@ -28,7 +29,9 @@ from privsynth.errors import (
     EmptyTrainSet,
     NonBinaryLabels,
 )
-from privsynth.smote import minkowski_distance
+from privsynth.noise import NoiseConfig, perturb
+from privsynth.smote import SmoteConfig, minkowski_distance, run_smote
+from privsynth.surrogate import make_surrogate
 
 
 def table(feats, labels):
@@ -50,10 +53,11 @@ def _knn_case(case):
         points = rng.integers(0, 3, size=(24, 2)).astype(float)
         labels = rng.choice(["a", "b", "c"], size=24).tolist()
         queries = rng.integers(-1, 4, size=(600, 2)).astype(float)
-    elif case == "ties":
+    elif case in ("ties", "mixed"):
         # integer line: grid queries sit equidistant from two training points
         points = np.arange(12, dtype=float)[:, None]
-        labels = ["a", "b", "c"] * 4
+        # mixed: 2 and 2.0 are one class under ==, 1 and "1" are two
+        labels = ["a", "b", "c"] * 4 if case == "ties" else [1, "1", 2.0, 2] * 3
         queries = rng.integers(-2, 14, size=(600, 1)) + rng.choice([0.0, 0.5], size=(600, 1))
     else:
         # sensor-rail rows clipped at +55 and -18 next to unit-scale data
@@ -64,13 +68,108 @@ def _knn_case(case):
     return points, labels, queries
 
 
+# The per-attribute CART grower the array split search replaced, kept verbatim
+# as the reference the grown trees are compared against.
+
+def _gini(counts: np.ndarray) -> float:
+    n = counts.sum()
+    if n == 0:
+        return 0.0
+    p = counts / n
+    return float(1.0 - np.sum(p * p))
+
+
+def _best_split(feats: np.ndarray, codes: np.ndarray, n_classes: int, min_leaf: int):
+    """Best (gain, attribute, threshold) over all axis-aligned splits.
+
+    Candidates are midpoints between consecutive distinct sorted values.
+    Attributes are scanned in ascending order and equal gains keep the first
+    candidate found, so ties resolve to the lower attribute index and then
+    the lower threshold.
+    """
+    n = feats.shape[0]
+    parent = _gini(np.bincount(codes, minlength=n_classes))
+    # zero-gain splits stay eligible: structure like XOR only pays off a
+    # level deeper, and depth / min_leaf / purity bound the growth
+    best_gain = -np.inf
+    best_attr = -1
+    best_thresh = 0.0
+    for attr in range(feats.shape[1]):
+        col = feats[:, attr]
+        order = np.argsort(col, kind="stable")
+        vals = col[order]
+        boundaries = np.flatnonzero(vals[:-1] != vals[1:])
+        if boundaries.size == 0:
+            continue
+        onehot = np.zeros((n, n_classes))
+        onehot[np.arange(n), codes[order]] = 1.0
+        cum = np.cumsum(onehot, axis=0)
+        left_counts = cum[boundaries]
+        total = cum[-1]
+        right_counts = total - left_counts
+        n_left = boundaries + 1
+        n_right = n - n_left
+        valid = (n_left >= min_leaf) & (n_right >= min_leaf)
+        if not valid.any():
+            continue
+        gini_left = 1.0 - np.sum((left_counts / n_left[:, None]) ** 2, axis=1)
+        gini_right = 1.0 - np.sum((right_counts / n_right[:, None]) ** 2, axis=1)
+        weighted = (n_left * gini_left + n_right * gini_right) / n
+        gains = np.where(valid, parent - weighted, -np.inf)
+        pos = int(np.argmax(gains))  # first max = lowest threshold
+        if gains[pos] > best_gain:
+            best_gain = float(gains[pos])
+            best_attr = attr
+            b = boundaries[pos]
+            best_thresh = float((vals[b] + vals[b + 1]) / 2.0)
+    return best_gain, best_attr, best_thresh
+
+
+def _grow(feats, codes, n_classes, depth, max_depth, min_leaf) -> _TreeNode:
+    counts = np.bincount(codes, minlength=n_classes)
+    majority = int(np.argmax(counts))  # tie -> lower class id
+    if depth >= max_depth or counts.max() == len(codes) or len(codes) < 2 * min_leaf:
+        return _TreeNode(prediction=majority)
+    gain, attr, thresh = _best_split(feats, codes, n_classes, min_leaf)
+    if attr < 0 or gain < 0.0:
+        return _TreeNode(prediction=majority)
+    mask = feats[:, attr] <= thresh
+    left = _grow(feats[mask], codes[mask], n_classes, depth + 1, max_depth, min_leaf)
+    right = _grow(feats[~mask], codes[~mask], n_classes, depth + 1, max_depth, min_leaf)
+    return _TreeNode(attribute=attr, threshold=thresh, left=left, right=right,
+                     prediction=majority)
+
+
+def reference_tree(train, max_depth, min_leaf) -> _TreeNode:
+    lookup = {label: i for i, label in enumerate(train.classes())}
+    codes = np.array([lookup[l] for l in train.labels.tolist()], dtype=np.intp)
+    return _grow(train.features, codes, len(lookup), 0, max_depth, min_leaf)
+
+
+def assert_same_tree(node, ref, path="root"):
+    assert node.is_leaf == ref.is_leaf, path
+    assert node.prediction == ref.prediction, path
+    if not ref.is_leaf:
+        assert node.attribute == ref.attribute, path
+        assert node.threshold == ref.threshold, path
+        assert_same_tree(node.left, ref.left, path + ".left")
+        assert_same_tree(node.right, ref.right, path + ".right")
+
+
+def surrogate_release(g, amount):
+    train, _ = stratified_split(make_surrogate(3000, seed=1729), 0.3, seed=11)
+    merged = run_smote(train, 12, SmoteConfig(amount, 5, seed=12))
+    return perturb(merged, NoiseConfig(level=g, seed=13))
+
+
 class TestKnn:
     def test_training_point_returns_own_label(self):
         train = table([[0.0, 0.0], [5.0, 5.0], [9.0, 0.0]], ["a", "b", "c"])
         assert knn_classify(train, [5.0, 5.0], k=1) == "b"
 
     def test_five_point_oracle(self):
-        for case, q in product(("five_point", "duplicates", "ties", "rails"), (1.0, 2.0, 3.0)):
+        cases = ("five_point", "duplicates", "ties", "mixed", "rails")
+        for case, q in product(cases, (1.0, 2.0, 3.0)):
             # 600 queries cross two 256-row query-block boundaries
             points, labels, queries = _knn_case(case)
             n = len(points)
@@ -78,14 +177,14 @@ class TestKnn:
                 sorted(range(n), key=lambda i: (minkowski_distance(query, points[i], q), i))
                 for query in queries
             ]
-            for k in (1, 3, n):
+            for k in sorted({1, 2, 3, 4, 7, n} & set(range(1, n + 1))):
                 preds = KnnClassifier(k=k, q=q).fit(table(points, labels)).predict(queries)
                 for row, (ranked, pred) in enumerate(zip(ranked_all, preds)):
                     votes = [labels[i] for i in ranked[:k]]
                     best = max(votes.count(v) for v in votes)
                     # vote ties go to the class of the nearest tied neighbour
                     expected = next(v for v in votes if votes.count(v) == best)
-                    assert pred == expected, (case, q, k, row)
+                    assert type(pred) is type(expected) and pred == expected, (case, q, k, row)
 
     def test_predict_memory_is_bounded(self):
         # a full 20000 x 500 distance matrix would take 80 MB on its own
@@ -106,6 +205,13 @@ class TestKnn:
         # nearest tied neighbour is the 'a'
         train = table([[1.0], [2.0], [10.0]], ["a", "b", "b"])
         assert knn_classify(train, [0.0], k=2) == "a"
+        # labels vote as equal under ==: 2.0 and 2 pool their votes, "1" and 1
+        # do not; the nearest member of a tied class is the one returned
+        for labels, expected in (([2.0, "1", 2, 1], 2.0), (["1", 1, 1.0, "1"], "1"),
+                                 ([1, "1", "1", 1.0], 1), (["b", "a", "a", "b"], "b")):
+            train = table([[1.0], [2.0], [3.0], [4.0]], labels)
+            pred = knn_classify(train, [0.0], k=4)
+            assert type(pred) is type(expected) and pred == expected, labels
 
     def test_distance_tie_prefers_lower_index(self):
         train = table([[1.0], [-1.0]], ["b", "a"])
@@ -316,6 +422,22 @@ class TestDecisionTree:
 
         sizes = leaf_depth_sizes(model.root, train.features, train.labels)
         assert min(sizes) >= 5
+
+    def test_matches_reference_grower(self):
+        xor = table([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]], ["a", "a", "b", "b"])
+        cases = [(surrogate_release(0.0, 130), 12, 2), (surrogate_release(0.3, 500), 12, 2),
+                 (xor, 1, 1), (xor, 3, 1)]
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            # small integer values force ties; a zero range gives constant columns
+            n, d = int(rng.integers(1, 41)), int(rng.integers(1, 5))
+            feats = rng.integers(0, rng.integers(1, 5, size=d), size=(n, d))
+            labels = rng.integers(0, rng.integers(1, 5), size=n).tolist()
+            cases += [(table(feats, labels), depth, leaf)
+                      for depth, leaf in product((1, 3, 12), (1, 2, 5))]
+        for i, (train, max_depth, min_leaf) in enumerate(cases):
+            model = dt_train(train, max_depth=max_depth, min_leaf=min_leaf)
+            assert_same_tree(model.root, reference_tree(train, max_depth, min_leaf), f"case {i}")
 
     def test_invalid_config(self):
         train = table([[0.0]], ["a"])

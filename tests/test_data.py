@@ -137,6 +137,15 @@ class TestLoadCsv:
         assert np.array_equal(again.features, data.features)
         assert again.labels.tolist() == data.labels.tolist()
 
+    def test_labels_round_trip_with_their_types(self, tmp_path):
+        # strings that int() accepts but that are not an int's own text stay strings
+        labels = ["007", "1_000", "+5", "-0", 12, -3, 0, "a", "12a", "1.5", "٣"]
+        data = small_dataset(labels, rng_seed=4)
+        path = tmp_path / "t.csv"
+        write_csv(data, path)
+        again = load_csv(path, XY_SCHEMA)
+        assert [(type(v), v) for v in again.labels] == [(type(v), v) for v in labels]
+
 
 class TestStratifiedSplit:
     def test_exact_division(self):

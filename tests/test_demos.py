@@ -11,8 +11,10 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    # TMPDIR keeps the scratch directory demo 04 makes inside the test's tmp_path
+    # TMPDIR points the demos' temporary directories at tmp_path, where the
+    # check below can see that none of them is left behind
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
     result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
+    assert not list(tmp_path.glob("privsynth-demo-*"))

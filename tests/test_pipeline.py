@@ -183,7 +183,7 @@ class TestRunSweep:
         assert by_amount[100] == {"ok"}
         assert by_amount[110] == {"failed"}
         failed = next(r for r in report.rows if r.status == "failed")
-        assert failed.error
+        assert failed.error.startswith("smote: NotEnoughRecords: "), failed.error
         assert failed.accuracy is None
 
     def test_programming_error_propagates(self, small_table, tmp_path, monkeypatch):
