@@ -80,7 +80,10 @@ class QuasiIdentifierSpec:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "QuasiIdentifierSpec":
-        return cls(tuple(payload["columns"]), dict(payload.get("generalization", {})))
+        try:
+            return cls(tuple(payload["columns"]), dict(payload.get("generalization", {})))
+        except (KeyError, TypeError, ValueError):
+            raise ValidationError('a QI spec is {"columns": [...], "generalization": {...}}') from None
 
 
 @dataclass(frozen=True, eq=False)

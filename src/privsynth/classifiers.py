@@ -395,18 +395,17 @@ class DecisionTreeClassifier:
         return self._model
 
 
-def make_classifier(name: str, seed: int = 0, **overrides):
-    """Classifier instances by short name: knn, nb, dt, svm."""
-    if name == "knn":
-        return KnnClassifier(k=overrides.get("k", 3), q=overrides.get("q", 2.0))
-    if name == "nb":
-        return NaiveBayesClassifier()
-    if name == "dt":
-        return DecisionTreeClassifier(
-            max_depth=overrides.get("max_depth", 12), min_leaf=overrides.get("min_leaf", 2)
-        )
-    if name == "svm":
-        return SvmClassifier(
-            epochs=overrides.get("epochs", 30), reg=overrides.get("reg", 1e-3), seed=seed
-        )
-    raise ConfigInvalid(f"unknown classifier {name!r}; pick from knn, nb, dt, svm")
+# short name -> classifier with its own defaults; only the SVM draws on the seed
+CLASSIFIERS = {
+    "knn": lambda seed: KnnClassifier(),
+    "nb": lambda seed: NaiveBayesClassifier(),
+    "dt": lambda seed: DecisionTreeClassifier(),
+    "svm": lambda seed: SvmClassifier(seed=seed),
+}
+
+
+def make_classifier(name: str, seed: int = 0):
+    """Classifier instance by short name, one of :data:`CLASSIFIERS`."""
+    if name not in CLASSIFIERS:
+        raise ConfigInvalid(f"unknown classifier {name!r}; pick from {', '.join(CLASSIFIERS)}")
+    return CLASSIFIERS[name](seed)

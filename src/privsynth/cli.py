@@ -7,10 +7,15 @@ Subcommands:
     sweep       run the pipeline over a (noise, amount, k) grid
     plotdata    expand a sweep report into per-figure CSV tables
 
-Options may come from flags or from a JSON config file (--config) whose keys
-mirror the pipeline configuration; explicit flags win over file values.
-Exit codes: 0 success, 1 validation error, 2 runtime stage or I/O error.
-Any other exception is a bug and propagates with its traceback.
+Every subcommand reads its settings one way: the JSON config file (--config,
+keys mirroring the pipeline configuration) overlaid with each flag given, so
+an explicit flag wins over the file; a setting given nowhere takes the default
+of its config type.
+
+Exit codes, the same from every subcommand: 0 success; 1 when the command
+line or an input CSV, schema or config file is malformed or missing; 2 when a
+pipeline stage fails at runtime or on another I/O error. Any other exception
+is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -20,13 +25,12 @@ import json
 import sys
 from pathlib import Path
 
-from .anonymity import QuasiIdentifierSpec, equivalence_classes, risk_report
+from .anonymity import DEFAULT_BINS, QuasiIdentifierSpec, equivalence_classes, risk_report
 from .classifiers import make_classifier
 from .data import Schema, derive_seed, load_csv, parse_label
-from .errors import PrivsynthError, StageError, ValidationError
+from .errors import ConfigInvalid, PrivsynthError, ValidationError
 from .metrics import evaluate
 from .pipeline import (
-    DEFAULT_CLASSIFIERS,
     PipelineConfig,
     SweepGrid,
     SweepReport,
@@ -46,10 +50,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise ValidationError(message)
-
-
-def _split_list(text: str) -> list[str]:
-    return [part.strip() for part in text.split(",") if part.strip()]
 
 
 def _add_common_io(p):
@@ -108,83 +108,91 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _setting(args, name, file_cfg, default=None):
-    """Flag value if given, else config-file value, else default."""
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if file_cfg is not None and name in file_cfg:
-        return file_cfg[name]
-    return default
-
-
 def _require(value, flag):
     if value is None:
         raise ValidationError(f"{flag} is required (flag or config file)")
     return value
 
 
-def _qi_from_args(args, file_cfg, schema):
-    columns = _setting(args, "qi_columns", file_cfg)
-    bins = _setting(args, "bins", file_cfg, 10)
-    if columns is None:
-        return None  # pipeline default: all numeric columns, 10 bins
-    if isinstance(columns, str):
-        columns = _split_list(columns)
-    return QuasiIdentifierSpec(tuple(columns), {c: int(bins) for c in columns})
+def _split_list(value):
+    """A flag's comma-separated text as a list; a config file's list as it is."""
+    if isinstance(value, str):
+        return [part.strip() for part in value.split(",") if part.strip()]
+    if not isinstance(value, (list, tuple)):
+        raise ConfigInvalid(f"expected a comma list or a JSON list, got {value!r}")
+    return value
 
 
-# flag name -> key path in the PipelineConfig dict; a given flag overrides
-# the config-file value
+# flag dest -> key path in the settings; the keys mirror PipelineConfig.to_dict
+# plus the QI flags, the grid axes and the audit/evaluate/plotdata file
+# arguments. Every flag of every subcommand is here, so a given flag always
+# overrides the config-file value the same way.
 _FLAG_KEYS = {
     "input": ("input",),
     "schema": ("schema",),
+    "test": ("test",),
+    "report": ("report",),
+    "out": ("out_dir",),
+    "seed": ("seed",),
     "minority_label": ("minority_label",),
     "smote_amount": ("smote", "amount_percent"),
     "neighbors": ("smote", "neighbors"),
     "noise": ("noise", "level"),
     "noise_model": ("noise", "model"),
+    "qi_columns": ("qi_columns",),
+    "bins": ("bins",),
     "k": ("k",),
     "classifiers": ("classifiers",),
     "test_fraction": ("test_fraction",),
-    "seed": ("seed",),
-    "out": ("out_dir",),
+    "noise_levels": ("noise_levels",),
+    "smote_amounts": ("smote_amounts",),
+    "k_values": ("k_values",),
 }
 
 
-def _config_file(args) -> dict | None:
-    config_path = getattr(args, "config", None)
-    if not config_path:
+def _settings(args) -> dict:
+    """The --config file's settings, read once, overlaid with every flag given."""
+    settings = {}
+    if getattr(args, "config", None):
+        settings = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(settings, dict):
+            raise ConfigInvalid(f"config file {args.config} must hold a JSON object")
+    for dest, path in _FLAG_KEYS.items():
+        value = getattr(args, dest, None)
+        if value is None:
+            continue
+        if len(path) == 1:
+            settings[path[0]] = value
+            continue
+        section = settings.get(path[0], {})
+        if not isinstance(section, dict):
+            raise ConfigInvalid(f"{path[0]} must be a JSON object, got {section!r}")
+        settings[path[0]] = {**section, path[1]: value}
+    return settings
+
+
+def _qi_spec(settings) -> QuasiIdentifierSpec | None:
+    """The spec --qi-columns and --bins give; None when no columns are given."""
+    columns = settings.get("qi_columns")
+    if columns is None:
         return None
-    return json.loads(Path(config_path).read_text(encoding="utf-8"))
+    columns = _split_list(columns)
+    bins = settings.get("bins", DEFAULT_BINS)  # QuasiIdentifierSpec checks the rule
+    return QuasiIdentifierSpec(tuple(columns), {c: bins for c in columns})
 
 
-def _pipeline_config(args, file_cfg) -> PipelineConfig:
-    """Config-file values overlaid with the given flags; defaults come from
-    :meth:`PipelineConfig.from_dict`."""
-    payload = dict(file_cfg or {})
-    for section in ("smote", "noise"):
-        payload[section] = dict(payload.get(section, {}))
-    for name, path in _FLAG_KEYS.items():
-        value = getattr(args, name, None)
-        if value is not None:
-            target = payload[path[0]] if len(path) == 2 else payload
-            target[path[-1]] = value
-
-    input_path = _require(payload.get("input"), "--input")
-    schema_path = _require(payload.get("schema"), "--schema")
-    if not Path(input_path).exists():
-        raise ValidationError(f"input file not found: {input_path}")
-    if not Path(schema_path).exists():
-        raise ValidationError(f"schema file not found: {schema_path}")
-    schema = Schema.load(schema_path)
-
+def _pipeline_config(args, settings=None) -> PipelineConfig:
+    """The pipeline configuration of ``settings`` (``_settings(args)`` when
+    None); what they leave out takes its default from the config types."""
+    payload = dict(_settings(args) if settings is None else settings)
+    _require(payload.get("input"), "--input")
+    schema = Schema.load(_require(payload.get("schema"), "--schema"))
     minority = _require(payload.get("minority_label"), "--minority-label")
     if isinstance(minority, str):
         payload["minority_label"] = parse_label(minority)
-    if isinstance(payload.get("classifiers"), str):
+    if "classifiers" in payload:
         payload["classifiers"] = _split_list(payload["classifiers"])
-    qi = _qi_from_args(args, file_cfg, schema)
+    qi = _qi_spec(payload)
     if qi is not None:
         payload["qi"] = qi.to_dict()
 
@@ -195,7 +203,7 @@ def _pipeline_config(args, file_cfg) -> PipelineConfig:
 
 
 def _cmd_synthesize(args) -> int:
-    cfg = _pipeline_config(args, _config_file(args))
+    cfg = _pipeline_config(args)
     released, risk, reports = run_pipeline(cfg)
     print(f"released {len(released)} records to {cfg.out_dir}")
     print(f"risk at k={cfg.k}: {risk.risk:.4f} "
@@ -207,26 +215,16 @@ def _cmd_synthesize(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    input_path = _require(args.input, "--input")
-    schema_path = _require(args.schema, "--schema")
-    if not Path(input_path).exists():
-        raise ValidationError(f"input file not found: {input_path}")
-    schema = Schema.load(schema_path)
-    qi = _qi_from_args(args, None, schema) or QuasiIdentifierSpec.all_numeric(schema)
+    settings = _settings(args)
+    input_path = _require(settings.get("input"), "--input")
+    schema = Schema.load(_require(settings.get("schema"), "--schema"))
+    qi = _qi_spec(settings) or QuasiIdentifierSpec.all_numeric(schema)
     qi.validate_against(schema)
-    k = args.k if args.k is not None else 2
+    data = load_csv(input_path, schema)
+    risk = risk_report(equivalence_classes(data, qi), settings.get("k", PipelineConfig.k))
 
-    try:
-        data = load_csv(input_path, schema)
-        classes = equivalence_classes(data, qi)
-        risk = risk_report(classes, k)
-    except ValidationError:
-        raise
-    except PrivsynthError as exc:
-        raise StageError("audit", exc) from exc
-
-    if args.out:
-        out = Path(args.out)
+    if settings.get("out_dir"):
+        out = Path(settings["out_dir"])
         out.mkdir(parents=True, exist_ok=True)
         risk.save(out / "risk.json")
         print(f"wrote {out / 'risk.json'}")
@@ -236,50 +234,39 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    train_path = _require(args.input, "--input")
-    test_path = _require(args.test, "--test")
-    schema_path = _require(args.schema, "--schema")
-    for path in (train_path, test_path):
-        if not Path(path).exists():
-            raise ValidationError(f"file not found: {path}")
-    schema = Schema.load(schema_path)
-    names = _split_list(args.classifiers) if args.classifiers else list(DEFAULT_CLASSIFIERS)
-    seed = args.seed if args.seed is not None else 0
+    settings = _settings(args)
+    train_path = _require(settings.get("input"), "--input")
+    test_path = _require(settings.get("test"), "--test")
+    schema = Schema.load(_require(settings.get("schema"), "--schema"))
+    names = _split_list(settings.get("classifiers", PipelineConfig.classifiers))
+    seed = settings.get("seed", PipelineConfig.seed)
 
-    try:
-        train = load_csv(train_path, schema)
-        test = load_csv(test_path, schema)
-        reports = [
-            evaluate(make_classifier(n, seed=derive_seed(seed, "clf", n)), train, test)
-            for n in names
-        ]
-    except ValidationError:
-        raise
-    except PrivsynthError as exc:
-        raise StageError("evaluate", exc) from exc
+    train = load_csv(train_path, schema)
+    test = load_csv(test_path, schema)
+    reports = [
+        evaluate(make_classifier(n, seed=derive_seed(seed, "clf", n)), train, test)
+        for n in names
+    ]
 
     for report in reports:
         print(f"{report.classifier}: accuracy {report.accuracy:.4f}, "
               f"macro P {report.macro_precision:.4f}, "
               f"macro R {report.macro_recall:.4f}, "
               f"macro F {report.macro_f_measure:.4f}")
-        if args.out:
-            out = Path(args.out)
+        if settings.get("out_dir"):
+            out = Path(settings["out_dir"])
             out.mkdir(parents=True, exist_ok=True)
             report.save(out / f"eval_{report.classifier}.json")
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
-    file_cfg = _config_file(args)
-    cfg = _pipeline_config(args, file_cfg)
-    levels = _setting(args, "noise_levels", file_cfg, "0.1,0.3,0.6,1.0")
-    amounts = _setting(args, "smote_amounts", file_cfg, "130,220,370,500")
-    ks = _setting(args, "k_values", file_cfg, str(cfg.k))
+    settings = _settings(args)
+    cfg = _pipeline_config(args, settings)
     grid = SweepGrid(
-        noise_levels=tuple(float(v) for v in _as_list(levels)),
-        smote_amounts=tuple(int(v) for v in _as_list(amounts)),
-        k_values=tuple(int(v) for v in _as_list(ks)),
+        noise_levels=_split_list(settings.get("noise_levels", "0.1,0.3,0.6,1.0")),
+        smote_amounts=_split_list(settings.get("smote_amounts", "130,220,370,500")),
+        k_values=_split_list(settings.get("k_values", [cfg.k])),
     )
     report = run_sweep(cfg, grid)
     ok = sum(1 for r in report.rows if r.status == "ok")
@@ -289,19 +276,11 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _as_list(value):
-    if isinstance(value, str):
-        return _split_list(value)
-    return list(value)
-
-
 def _cmd_plotdata(args) -> int:
-    report_path = _require(args.report, "--report")
-    out = _require(args.out, "--out")
-    if not Path(report_path).exists():
-        raise ValidationError(f"report not found: {report_path}")
-    report = SweepReport.load_json(report_path)
-    written = emit_plot_data(report, out)
+    settings = _settings(args)
+    report_path = _require(settings.get("report"), "--report")
+    out = _require(settings.get("out_dir"), "--out")
+    written = emit_plot_data(SweepReport.load_json(report_path), out)
     for path in written:
         print(f"wrote {path}")
     return EXIT_OK

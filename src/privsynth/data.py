@@ -120,7 +120,10 @@ class Schema:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Schema":
-        return cls(tuple((c["name"], c["kind"]) for c in payload["columns"]))
+        try:
+            return cls(tuple((c["name"], c["kind"]) for c in payload["columns"]))
+        except (KeyError, TypeError):
+            raise ValidationError('a schema is {"columns": [{"name": ..., "kind": ...}]}') from None
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8")
@@ -288,15 +291,16 @@ def write_csv(data: Dataset, path) -> None:
     Floats are written with ``repr`` so a re-parse reproduces the exact
     values (round-trip is lossless, not merely close).
     """
-    path = Path(path)
     label_idx = data.schema.label_column
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(data.schema.column_names)
-        for i in range(len(data)):
-            row = [repr(float(v)) for v in data.features[i]]
-            row.insert(label_idx, str(data.labels[i]))
-            writer.writerow(row)
+        # rows are built one at a time, so no whole-table list is held;
+        # csv writes a Python float as its repr
+        writer.writerows(
+            [*row[:label_idx], str(label), *row[label_idx:]]
+            for row, label in zip(map(np.ndarray.tolist, data.features), data.labels.tolist())
+        )
 
 
 def stratified_split(data: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

@@ -41,7 +41,7 @@ _PSD_TOL = -1e-10
 class NoiseConfig:
     """Perturbation parameters: level g >= 0, noise model, seed."""
 
-    level: float
+    level: float = 0.0
     model: str = DIAGONAL_SCALED
     seed: int = 0
 

@@ -26,7 +26,7 @@ from itertools import product
 from pathlib import Path
 
 from .anonymity import QuasiIdentifierSpec, RiskReport, equivalence_classes, risk_report
-from .classifiers import make_classifier
+from .classifiers import CLASSIFIERS, make_classifier
 from .data import (
     Dataset,
     Schema,
@@ -35,12 +35,23 @@ from .data import (
     stratified_split,
     write_csv,
 )
-from .errors import ConfigInvalid, IoFailure, PrivsynthError, StageError
+from .errors import ConfigInvalid, IoFailure, PrivsynthError, StageError, ValidationError
 from .metrics import EvalReport, evaluate
 from .noise import NoiseConfig, perturb
 from .smote import SmoteConfig, run_smote
 
-DEFAULT_CLASSIFIERS = ("knn", "nb", "dt")
+# config key -> the type its value is read as; a key left out takes the
+# default of its dataclass field
+_CASTS = {"k": int, "classifiers": tuple, "test_fraction": float, "seed": int, "out_dir": str}
+_SMOTE_CASTS = {"amount_percent": int, "neighbors": int, "minkowski_q": float}
+_NOISE_CASTS = {"level": float, "model": str}
+
+
+def _cast_fields(section, casts: dict) -> dict:
+    """The keys of ``casts`` that the JSON object ``section`` holds, each cast."""
+    if not isinstance(section, dict):
+        raise TypeError(f"expected a JSON object, got {section!r}")
+    return {key: cast(section[key]) for key, cast in casts.items() if key in section}
 
 
 @dataclass(frozen=True)
@@ -59,7 +70,7 @@ class PipelineConfig:
     noise: NoiseConfig
     k: int = 2
     qi: QuasiIdentifierSpec | None = None  # None = all numeric columns, 10 bins
-    classifiers: tuple[str, ...] = DEFAULT_CLASSIFIERS
+    classifiers: tuple[str, ...] = ("knn", "nb", "dt")
     test_fraction: float = 0.3
     seed: int = 0
     out_dir: str = "out"
@@ -71,9 +82,9 @@ class PipelineConfig:
             raise ConfigInvalid(f"k must be >= 1, got {self.k}")
         if not self.classifiers:
             raise ConfigInvalid("at least one classifier required")
-        bad = [c for c in self.classifiers if c not in ("knn", "nb", "dt", "svm")]
+        bad = [c for c in self.classifiers if c not in CLASSIFIERS]
         if bad:
-            raise ConfigInvalid(f"unknown classifier(s) {bad}")
+            raise ConfigInvalid(f"unknown classifier(s) {bad}; pick from {', '.join(CLASSIFIERS)}")
         object.__setattr__(self, "classifiers", tuple(self.classifiers))
 
     def to_dict(self) -> dict:
@@ -97,29 +108,22 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "PipelineConfig":
-        smote = payload.get("smote", {})
-        noise = payload.get("noise", {})
-        qi = payload.get("qi")
-        return cls(
-            input=payload["input"],
-            schema=payload["schema"],
-            minority_label=payload["minority_label"],
-            smote=SmoteConfig(
-                amount_percent=int(smote.get("amount_percent", 100)),
-                neighbors=int(smote.get("neighbors", 5)),
-                minkowski_q=float(smote.get("minkowski_q", 2.0)),
-            ),
-            noise=NoiseConfig(
-                level=float(noise.get("level", 0.0)),
-                model=noise.get("model", "diagonal_scaled"),
-            ),
-            k=int(payload.get("k", 2)),
-            qi=QuasiIdentifierSpec.from_dict(qi) if qi else None,
-            classifiers=tuple(payload.get("classifiers", DEFAULT_CLASSIFIERS)),
-            test_fraction=float(payload.get("test_fraction", 0.3)),
-            seed=int(payload.get("seed", 0)),
-            out_dir=payload.get("out_dir", "out"),
-        )
+        """Inverse of :meth:`to_dict`. A key left out takes the default of its
+        field, so the defaults live only on the config types. A payload that
+        lacks input, schema or minority_label, or holds a value of the wrong
+        type, raises :class:`ConfigInvalid`."""
+        try:
+            fields = _cast_fields(payload, _CASTS)
+            qi = payload.get("qi")
+            return cls(
+                **{key: payload[key] for key in ("input", "schema", "minority_label")},
+                smote=SmoteConfig(**_cast_fields(payload.get("smote", {}), _SMOTE_CASTS)),
+                noise=NoiseConfig(**_cast_fields(payload.get("noise", {}), _NOISE_CASTS)),
+                qi=QuasiIdentifierSpec.from_dict(qi) if qi else None,
+                **fields,
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigInvalid(f"malformed pipeline config: {type(exc).__name__}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -131,9 +135,12 @@ class SweepGrid:
     k_values: tuple[int, ...] = (2,)
 
     def __post_init__(self):
-        object.__setattr__(self, "noise_levels", tuple(float(g) for g in self.noise_levels))
-        object.__setattr__(self, "smote_amounts", tuple(int(e) for e in self.smote_amounts))
-        object.__setattr__(self, "k_values", tuple(int(k) for k in self.k_values))
+        try:
+            object.__setattr__(self, "noise_levels", tuple(map(float, self.noise_levels)))
+            object.__setattr__(self, "smote_amounts", tuple(map(int, self.smote_amounts)))
+            object.__setattr__(self, "k_values", tuple(map(int, self.k_values)))
+        except (TypeError, ValueError) as exc:
+            raise ConfigInvalid(f"grid axes must be lists of numbers: {exc}") from None
         if not (self.noise_levels and self.smote_amounts and self.k_values):
             raise ConfigInvalid("grid axes must be non-empty")
         if any(g < 0 for g in self.noise_levels):
@@ -200,7 +207,10 @@ class SweepReport:
     @classmethod
     def load_json(cls, path) -> "SweepReport":
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(tuple(SweepRow(**entry) for entry in payload))
+        try:
+            return cls(tuple(SweepRow(**entry) for entry in payload))
+        except TypeError:
+            raise ValidationError(f"{path} does not hold a sweep report") from None
 
 
 def _cell(value) -> str:
@@ -294,10 +304,11 @@ def run_pipeline(cfg: PipelineConfig) -> tuple[Dataset, RiskReport, list[EvalRep
 
     Returns the released dataset, its audit, and one evaluation report per
     configured classifier. Artifacts land in ``cfg.out_dir``: released.csv,
-    risk.json, eval_<classifier>.json, run_manifest.json.
+    risk.json, eval_<classifier>.json, run_manifest.json. An ingestion error
+    (a malformed schema or input CSV) is raised unwrapped, as its own
+    :class:`ValidationError`; a failing later stage raises :class:`StageError`.
     """
-    schema = _stage("load", Schema.load, cfg.schema)
-    data = _stage("load", load_csv, cfg.input, schema)
+    data = load_csv(cfg.input, Schema.load(cfg.schema))
     return run_stages(data, cfg, cfg.seed, Path(cfg.out_dir))
 
 
@@ -314,10 +325,11 @@ def run_sweep(cfg: PipelineConfig, grid: SweepGrid) -> SweepReport:
     ``error`` of the form ``"<stage>: <error type>: <message>"``, and the
     sweep moves on; any other exception is a bug and propagates. The aggregated
     report is persisted as ``sweep.csv`` (deterministic columns only) and
-    ``sweep.json`` (including wall-clock timings).
+    ``sweep.json`` (including wall-clock timings). The input is loaded once,
+    before any point runs, and an ingestion error is raised unwrapped, as its
+    own :class:`ValidationError`.
     """
-    schema = _stage("load", Schema.load, cfg.schema)
-    data = _stage("load", load_csv, cfg.input, schema)
+    data = load_csv(cfg.input, Schema.load(cfg.schema))
     out_root = Path(cfg.out_dir)
 
     rows: list[SweepRow] = []

@@ -34,8 +34,8 @@ class SmoteConfig:
     seed: master seed for every random choice in the pass.
     """
 
-    amount_percent: int
-    neighbors: int
+    amount_percent: int = 100
+    neighbors: int = 5
     minkowski_q: float = 2.0
     seed: int = 0
 

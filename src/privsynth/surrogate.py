@@ -52,77 +52,67 @@ def surrogate_schema() -> Schema:
     return Schema(tuple(columns))
 
 
+# the table's shape; only the size, the seed and the minority share vary
+N_CLASSES = 13
+IDLE_FRACTION = 0.34
+SEPARATION = 2.0   # distance between adjacent per-channel mean levels
+MEAN_LEVELS = 3
+WITHIN_STD = 1.2
+IDLE_STD = 1.8
+GROUP_RHO = 0.6    # correlation of the channels inside a sensor triad
+FAULT_ROWS = 6
+RAIL_HIGH = 55.0
+RAIL_LOW = -18.0
+
+
 def make_surrogate(
-    n_records: int = 9000,
-    seed: int = 1729,
-    *,
-    n_classes: int = 13,
-    idle_fraction: float = 0.34,
-    minority_fraction: float = 0.06,
-    separation: float = 2.0,
-    mean_levels: int = 3,
-    within_std: float = 1.2,
-    idle_std: float = 1.8,
-    group_rho: float = 0.6,
-    fault_rows: int = 6,
-    rail_high: float = 55.0,
-    rail_low: float = -18.0,
+    n_records: int = 9000, seed: int = 1729, *, minority_fraction: float = 0.06
 ) -> Dataset:
     """Generate the benchmark table.
 
     Activity 0 is the idle class (widest spread), activities
-    1 .. n_classes-2 share the middle of the data, and activity
-    ``n_classes - 1`` is the designated minority class for oversampling
-    experiments. ``fault_rows`` extra rows labelled ``n_classes`` are split
+    1 .. N_CLASSES-2 share the middle of the data, and activity
+    ``N_CLASSES - 1`` is the designated minority class for oversampling
+    experiments. ``FAULT_ROWS`` extra rows labelled ``N_CLASSES`` are split
     between the two sensor rails.
     """
-    if n_records < 10 * n_classes:
+    if n_records < 10 * N_CLASSES:
         raise ValidationError("n_records too small for the class layout")
-    if not 0.0 <= group_rho < 1.0:
-        raise ValidationError("group_rho must be in [0, 1)")
-    if fault_rows and fault_rows < 4:
-        raise ValidationError("use at least 4 fault rows (2 per rail) or none")
-    if fault_rows > n_records // 10:
-        raise ValidationError("too many fault rows")
 
     schema = surrogate_schema()
     d = schema.dim
 
-    counts = _class_counts(n_records - fault_rows, n_classes, idle_fraction, minority_fraction)
+    counts = _class_counts(n_records - FAULT_ROWS, minority_fraction)
+    # activities sit at one of a few per-channel intensity levels, centred on
+    # zero and SEPARATION apart; axis-aligned structure of this kind is what
+    # real activity recordings show per channel
+    levels = (np.arange(MEAN_LEVELS) - (MEAN_LEVELS - 1) / 2.0) * SEPARATION
     means_rng = np.random.default_rng(derive_seed(seed, "class-means"))
-    if mean_levels:
-        # activities sit at one of a few per-channel intensity levels,
-        # centred on zero and `separation` apart; axis-aligned structure of
-        # this kind is what real activity recordings show per channel
-        levels = (np.arange(mean_levels) - (mean_levels - 1) / 2.0) * separation
-        means = levels[means_rng.integers(0, mean_levels, size=(n_classes, d))]
-    else:
-        means = separation * means_rng.standard_normal((n_classes, d))
+    means = levels[means_rng.integers(0, MEAN_LEVELS, size=(N_CLASSES, d))]
 
     rows = []
     labels = []
-    for cls in range(n_classes):
+    for cls in range(N_CLASSES):
         m = counts[cls]
-        std = idle_std if cls == 0 else within_std
+        std = IDLE_STD if cls == 0 else WITHIN_STD
         block = np.empty((m, d))
         rng = np.random.default_rng(derive_seed(seed, "class", cls))
         offset = 0
         for _, size in SENSOR_GROUPS:
             shared = rng.standard_normal((m, 1))
             own = rng.standard_normal((m, size))
-            unit = np.sqrt(group_rho) * shared + np.sqrt(1.0 - group_rho) * own
+            unit = np.sqrt(GROUP_RHO) * shared + np.sqrt(1.0 - GROUP_RHO) * own
             block[:, offset:offset + size] = unit
             offset += size
         rows.append(means[cls] + std * block)
         labels.extend([cls] * m)
 
-    if fault_rows:
-        high = fault_rows - fault_rows // 2
-        block = np.empty((fault_rows, d))
-        block[:high] = rail_high
-        block[high:] = rail_low
-        rows.append(block)
-        labels.extend([n_classes] * fault_rows)
+    block = np.empty((FAULT_ROWS, d))
+    high = FAULT_ROWS - FAULT_ROWS // 2
+    block[:high] = RAIL_HIGH
+    block[high:] = RAIL_LOW
+    rows.append(block)
+    labels.extend([N_CLASSES] * FAULT_ROWS)
 
     features = np.concatenate(rows, axis=0)
     labels = np.array(labels, dtype=object)
@@ -131,12 +121,12 @@ def make_surrogate(
     return Dataset(schema, features[order], labels[order], "original")
 
 
-def _class_counts(n_records, n_classes, idle_fraction, minority_fraction):
-    idle = int(round(idle_fraction * n_records))
+def _class_counts(n_records, minority_fraction):
+    idle = int(round(IDLE_FRACTION * n_records))
     minority = max(4, int(round(minority_fraction * n_records)))
-    middle = n_classes - 2
+    middle = N_CLASSES - 2
     rest = n_records - idle - minority
-    if middle <= 0 or rest < middle * 4:
+    if rest < middle * 4:
         raise ValidationError("class fractions leave too little data for the middle classes")
     base = rest // middle
     counts = [idle] + [base] * middle + [minority]

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from privsynth import cli
-from privsynth.cli import _pipeline_config, build_parser, main
+from privsynth.cli import _FLAG_KEYS, _pipeline_config, build_parser, main
 from privsynth.data import stratified_split, write_csv
 from privsynth.pipeline import PipelineConfig
 from privsynth.surrogate import make_surrogate
@@ -18,6 +18,9 @@ def workspace(tmp_path_factory):
     train, test = stratified_split(data, 0.3, seed=1)
     write_csv(train, root / "train.csv")
     write_csv(test, root / "test.csv")
+    lines = (root / "data.csv").read_text().splitlines()
+    lines[2] = "x" + lines[2][lines[2].index(","):]  # row 3, first column
+    (root / "bad.csv").write_text("\n".join(lines) + "\n")
     return root
 
 
@@ -208,7 +211,63 @@ class TestSweepAndPlotdata:
         assert code == 1
 
 
+class TestErrorPolicy:
+    @pytest.mark.parametrize("command", ["synthesize", "sweep", "audit", "evaluate"])
+    def test_bad_cell_exits_validation_from_every_subcommand(
+        self, workspace, tmp_path, capsys, command
+    ):
+        argv = [command, "--input", workspace / "bad.csv", "--schema", workspace / "schema.json"]
+        if command in ("synthesize", "sweep"):
+            argv += ["--minority-label", "12", "--classifiers", "nb", "--out", tmp_path / "o"]
+        if command == "evaluate":
+            argv += ["--test", workspace / "test.csv", "--classifiers", "nb"]
+        assert run(argv) == 1
+        assert "bad cell at row 3, column 'acc_chest_x'" in capsys.readouterr().err
+
+    def test_malformed_schema_exits_validation(self, workspace, tmp_path):
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"cols": []}))
+        assert run(["audit", "--input", workspace / "data.csv", "--schema", schema]) == 1
+
+    @pytest.mark.parametrize("config", [
+        {"k": "two"},
+        {"smote": 5},
+        {"noise": 5},
+        {"noise": {"level": "high"}},
+        {"qi": {"cols": ["acc_chest_x"]}},
+        {"noise_levels": "0.1,low"},
+        {"bins": "many", "qi_columns": ["acc_chest_x"]},
+        {"qi_columns": 5},
+        [1, 2],
+    ], ids=["k-not-int", "flagged-section-not-object", "section-not-object",
+            "level-not-float", "qi-without-columns", "grid-value-not-float", "bins-not-int",
+            "qi-columns-not-list", "top-level-list"])
+    def test_malformed_config_exits_validation(self, workspace, tmp_path, config):
+        if isinstance(config, dict):
+            config = {
+                "input": str(workspace / "data.csv"),
+                "schema": str(workspace / "schema.json"),
+                "minority_label": 12,
+                "out_dir": str(tmp_path / "o"),
+                **config,
+            }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert run(["sweep", "--config", path, "--neighbors", "3"]) == 1
+
+    def test_malformed_report_exits_validation(self, tmp_path):
+        report = tmp_path / "sweep.json"
+        report.write_text(json.dumps([{"no_such_field": 1}]))
+        assert run(["plotdata", "--report", report, "--out", tmp_path / "plots"]) == 1
+
+
 class TestParser:
+    def test_every_flag_goes_through_the_overlay(self):
+        subparsers = build_parser()._subparsers._group_actions[0].choices
+        for name, sub in subparsers.items():
+            dests = {a.dest for a in sub._actions} - {"help", "config"}
+            assert dests <= set(_FLAG_KEYS), (name, dests - set(_FLAG_KEYS))
+
     def test_unknown_subcommand_exits_validation(self):
         assert run(["frobnicate"]) == 1
 

@@ -270,6 +270,24 @@ class TestConfigSerialization:
         again = PipelineConfig.from_dict(cfg.to_dict())
         assert again == cfg
 
+    @pytest.mark.parametrize("full", [False, True], ids=["defaults", "fully-specified"])
+    def test_round_trip_defaults_and_full(self, full):
+        if full:
+            cfg = PipelineConfig(
+                input="in.csv", schema="schema.json", minority_label="m",
+                smote=SmoteConfig(amount_percent=370, neighbors=3, minkowski_q=3.0),
+                noise=NoiseConfig(level=0.6, model="full_covariance"),
+                k=5, qi=QuasiIdentifierSpec(("a", "b"), {"a": 4, "b": "drop"}),
+                classifiers=("svm", "knn"), test_fraction=0.25, seed=11, out_dir="run",
+            )
+        else:
+            # the defaults of from_dict are the defaults of the dataclasses
+            cfg = PipelineConfig("in.csv", "schema.json", 12, SmoteConfig(), NoiseConfig())
+            assert PipelineConfig.from_dict(
+                {"input": "in.csv", "schema": "schema.json", "minority_label": 12}
+            ) == cfg
+        assert PipelineConfig.from_dict(cfg.to_dict()) == cfg
+
     def test_validation(self, small_table, tmp_path):
         with pytest.raises(ConfigInvalid):
             config(small_table, tmp_path, k=0)
