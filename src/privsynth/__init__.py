@@ -23,13 +23,9 @@ from .classifiers import (
     NaiveBayesClassifier,
     NaiveBayesModel,
     SvmClassifier,
-    dt_classify,
     dt_train,
-    knn_classify,
     make_classifier,
-    nb_classify,
     nb_train,
-    svm_decision,
     svm_train,
 )
 from .data import (
@@ -47,7 +43,6 @@ from .noise import (
     GaussianModel,
     NoiseConfig,
     estimate_covariance,
-    gaussian_density,
     perturb,
     sample_noise,
 )
@@ -97,22 +92,18 @@ __all__ = [
     "check_k_anonymity",
     "concat_datasets",
     "derive_seed",
-    "dt_classify",
     "dt_train",
     "emit_plot_data",
     "equivalence_classes",
     "estimate_covariance",
     "evaluate",
     "f_measure",
-    "gaussian_density",
     "generalize",
     "generate_synthetic",
-    "knn_classify",
     "load_csv",
     "make_classifier",
     "make_surrogate",
     "minkowski_distance",
-    "nb_classify",
     "nb_train",
     "nearest_neighbors",
     "perturb",
@@ -126,7 +117,6 @@ __all__ = [
     "shuffle_class_subset",
     "stratified_split",
     "surrogate_schema",
-    "svm_decision",
     "svm_train",
     "synthetic_count",
     "write_csv",

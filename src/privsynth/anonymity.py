@@ -176,7 +176,7 @@ def generalize(data: Dataset, spec: QuasiIdentifierSpec) -> Dataset:
     schema = data.schema.drop_features([c for c in spec.columns if spec.rule_for(c) == DROP])
     feats = data.features[:, [data.schema.feature_index(n) for n in schema.feature_names]]
     feats[:, [schema.feature_index(c) for c in kept]] = keys
-    return Dataset(schema, feats, data.labels, data.provenance)
+    return Dataset(schema, feats, data.labels)
 
 
 def equivalence_classes(data: Dataset, spec: QuasiIdentifierSpec) -> EquivalenceClasses:

@@ -9,10 +9,12 @@ rule so results are easy to verify by hand:
   subgradient trainer for the hinge loss,
 - a CART-style decision tree on Gini impurity.
 
-Every classifier exposes ``fit(train)`` / ``predict(features)`` plus the
-functional train/classify forms. Deterministic tie rules throughout: equal
-distances prefer the lower record index, equal scores prefer the lower class
-id, equal splits prefer the lower attribute index then the lower threshold.
+Every classifier exposes ``fit(train)`` and one batch ``predict(features)``,
+its only decision rule; ``predict`` rejects query rows whose width differs
+from the training data's with ``DimensionMismatch``. Deterministic tie rules
+throughout: equal distances prefer the lower record index, equal scores
+prefer the lower class id, equal splits prefer the lower attribute index then
+the lower threshold.
 """
 
 from __future__ import annotations
@@ -31,6 +33,19 @@ from .errors import (
     NonBinaryLabels,
     ValidationError,
 )
+
+
+def _queries(features, dim: int) -> np.ndarray:
+    """Query rows as a float64 ``(n, dim)`` array; one row may come as a vector.
+
+    Raises:
+        DimensionMismatch: the rows do not have ``dim`` attributes.
+    """
+    feats = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    if feats.shape[1] != dim:
+        raise DimensionMismatch(f"queries have {feats.shape[1]} attributes, the model {dim}")
+    return feats
+
 
 # ---------------------------------------------------------------------------
 # k-nearest neighbours
@@ -64,22 +79,13 @@ class KnnClassifier:
     def predict(self, features: np.ndarray) -> list:
         if self._train is None:
             raise ValidationError("fit before predict")
-        feats = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        if feats.shape[1] != self._train.dim:
-            raise DimensionMismatch(
-                f"queries have {feats.shape[1]} attributes, training data {self._train.dim}"
-            )
+        feats = _queries(features, self._train.dim)
         order, _ = nearest(feats, self._train.features, self.k, self.q)
         ranked = self._train.labels[order]  # (n, k), nearest first
         # votes[r, j]: how many of row r's k neighbours share neighbour j's label;
         # the first maximum is the nearest neighbour of a most-voted class
         votes = (ranked[:, :, None] == ranked[:, None, :]).sum(axis=2)
         return ranked[np.arange(len(ranked)), votes.argmax(axis=1)].tolist()
-
-
-def knn_classify(train: Dataset, query, k: int, q: float = 2.0):
-    """Label of a single query point under k-nearest-neighbour voting."""
-    return KnnClassifier(k=k, q=q).fit(train).predict(np.atleast_2d(query))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -148,15 +154,6 @@ def _nb_log_scores(model: NaiveBayesModel, feats: np.ndarray) -> np.ndarray:
     return scores
 
 
-def nb_classify(model: NaiveBayesModel, z):
-    """argmax over classes of the posterior score; ties go to the lower class id."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (model.means.shape[1],):
-        raise DimensionMismatch(f"point of shape {z.shape}, model dimension {model.means.shape[1]}")
-    scores = _nb_log_scores(model, z[None, :])
-    return model.classes[int(np.argmax(scores[0]))]  # first maximum = lower class id
-
-
 class NaiveBayesClassifier:
     def __init__(self):
         self.name = "nb"
@@ -169,9 +166,8 @@ class NaiveBayesClassifier:
     def predict(self, features: np.ndarray) -> list:
         if self._model is None:
             raise ValidationError("fit before predict")
-        feats = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        scores = _nb_log_scores(self._model, feats)
-        picks = np.argmax(scores, axis=1)
+        scores = _nb_log_scores(self._model, _queries(features, self._model.means.shape[1]))
+        picks = np.argmax(scores, axis=1)  # first maximum = lower class id
         return [self._model.classes[i] for i in picks]
 
 
@@ -194,13 +190,11 @@ class LinearSvmModel:
             raise ValidationError("model parameters must be finite")
         object.__setattr__(self, "weights", w)
 
-
-def svm_decision(model: LinearSvmModel, z) -> int:
-    """``sign(u . z + c)`` in {-1, +1}; an exact zero maps to +1."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != model.weights.shape:
-        raise DimensionMismatch(f"point of shape {z.shape}, weights {model.weights.shape}")
-    return 1 if float(model.weights @ z + model.offset) >= 0.0 else -1
+    def predict(self, features: np.ndarray) -> list:
+        """The label on the side ``sign(u . z + c)`` of each row; an exact zero
+        counts as positive."""
+        raw = _queries(features, self.weights.size) @ self.weights + self.offset
+        return [self.positive_label if v >= 0.0 else self.negative_label for v in raw]
 
 
 def _hinge_loss(weights, offset, feats, y) -> float:
@@ -263,9 +257,7 @@ class SvmClassifier:
     def predict(self, features: np.ndarray) -> list:
         if self._model is None:
             raise ValidationError("fit before predict")
-        feats = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        raw = feats @ self._model.weights + self._model.offset
-        return [self._model.positive_label if v >= 0.0 else self._model.negative_label for v in raw]
+        return self._model.predict(features)
 
 
 # ---------------------------------------------------------------------------
@@ -363,30 +355,29 @@ def dt_train(train: Dataset, max_depth: int = 12, min_leaf: int = 2) -> Decision
     return DecisionTreeModel(classes, root, max_depth, min_leaf)
 
 
-def dt_classify(model: DecisionTreeModel, z):
-    z = np.asarray(z, dtype=np.float64)
-    node = model.root
-    while not node.is_leaf:
-        node = node.left if z[node.attribute] <= node.threshold else node.right
-    return model.classes[node.prediction]
-
-
 class DecisionTreeClassifier:
     def __init__(self, max_depth: int = 12, min_leaf: int = 2):
         self.max_depth = max_depth
         self.min_leaf = min_leaf
         self.name = "dt"
         self._model: DecisionTreeModel | None = None
+        self._dim = 0
 
     def fit(self, train: Dataset) -> "DecisionTreeClassifier":
         self._model = dt_train(train, self.max_depth, self.min_leaf)
+        self._dim = train.dim
         return self
 
     def predict(self, features: np.ndarray) -> list:
         if self._model is None:
             raise ValidationError("fit before predict")
-        feats = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        return [dt_classify(self._model, row) for row in feats]
+        preds = []
+        for z in _queries(features, self._dim).tolist():
+            node = self._model.root
+            while not node.is_leaf:
+                node = node.left if z[node.attribute] <= node.threshold else node.right
+            preds.append(self._model.classes[node.prediction])
+        return preds
 
     @property
     def model(self) -> DecisionTreeModel:

@@ -171,13 +171,14 @@ def _settings(args) -> dict:
     return settings
 
 
-def _qi_spec(settings) -> QuasiIdentifierSpec | None:
-    """The spec --qi-columns and --bins give; None when no columns are given."""
+def _qi_spec(settings, schema) -> QuasiIdentifierSpec | None:
+    """The spec --qi-columns and --bins give: the listed columns, or every
+    numeric column when only --bins is given; None when neither is given."""
     columns = settings.get("qi_columns")
-    if columns is None:
-        return None
-    columns = _split_list(columns)
     bins = settings.get("bins", DEFAULT_BINS)  # QuasiIdentifierSpec checks the rule
+    if columns is None:
+        return QuasiIdentifierSpec.all_numeric(schema, bins) if "bins" in settings else None
+    columns = _split_list(columns)
     return QuasiIdentifierSpec(tuple(columns), {c: bins for c in columns})
 
 
@@ -192,7 +193,7 @@ def _pipeline_config(args, settings=None) -> PipelineConfig:
         payload["minority_label"] = parse_label(minority)
     if "classifiers" in payload:
         payload["classifiers"] = _split_list(payload["classifiers"])
-    qi = _qi_spec(payload)
+    qi = _qi_spec(payload, schema)
     if qi is not None:
         payload["qi"] = qi.to_dict()
 
@@ -218,7 +219,7 @@ def _cmd_audit(args) -> int:
     settings = _settings(args)
     input_path = _require(settings.get("input"), "--input")
     schema = Schema.load(_require(settings.get("schema"), "--schema"))
-    qi = _qi_spec(settings) or QuasiIdentifierSpec.all_numeric(schema)
+    qi = _qi_spec(settings, schema) or QuasiIdentifierSpec.all_numeric(schema)
     qi.validate_against(schema)
     data = load_csv(input_path, schema)
     risk = risk_report(equivalence_classes(data, qi), settings.get("k", PipelineConfig.k))

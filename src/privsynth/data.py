@@ -34,8 +34,6 @@ from .errors import (
 NUMERIC = "numeric"
 LABEL = "label"
 
-PROVENANCES = ("original", "synthetic", "perturbed", "merged")
-
 
 def derive_seed(master: int, *context) -> int:
     """Derive a 64-bit sub-seed from a master seed and context labels.
@@ -138,14 +136,12 @@ class Dataset:
     """Immutable numeric table with one label column.
 
     ``features`` has shape ``(n, d)`` where ``d`` counts the numeric columns
-    in schema order; ``labels`` holds the class identifiers. ``provenance``
-    records where the rows came from: original, synthetic, perturbed, merged.
+    in schema order; ``labels`` holds the class identifiers.
     """
 
     schema: Schema
     features: np.ndarray
     labels: np.ndarray
-    provenance: str = "original"
 
     def __post_init__(self):
         feats = np.array(self.features, dtype=np.float64)
@@ -160,8 +156,6 @@ class Dataset:
             )
         if feats.size and not np.isfinite(feats).all():
             raise ValidationError("numeric cells must be finite")
-        if self.provenance not in PROVENANCES:
-            raise ValidationError(f"unknown provenance {self.provenance!r}")
         feats.setflags(write=False)
         labs.setflags(write=False)
         object.__setattr__(self, "features", feats)
@@ -180,21 +174,13 @@ class Dataset:
     def classes(self) -> list:
         return sorted_labels(self.labels.tolist())
 
-    def select(self, indices, provenance: str | None = None) -> "Dataset":
+    def select(self, indices) -> "Dataset":
         """New dataset containing the given record indices, in order."""
         idx = np.asarray(indices, dtype=np.intp)
-        return Dataset(
-            self.schema,
-            self.features[idx],
-            self.labels[idx],
-            provenance or self.provenance,
-        )
-
-    def column(self, name: str) -> np.ndarray:
-        return self.features[:, self.schema.feature_index(name)]
+        return Dataset(self.schema, self.features[idx], self.labels[idx])
 
 
-def concat_datasets(parts, provenance: str) -> Dataset:
+def concat_datasets(parts) -> Dataset:
     parts = list(parts)
     if not parts:
         raise ValidationError("nothing to concatenate")
@@ -203,7 +189,7 @@ def concat_datasets(parts, provenance: str) -> Dataset:
         raise ValidationError("all parts must share one schema")
     feats = np.concatenate([p.features for p in parts], axis=0)
     labs = np.concatenate([p.labels for p in parts], axis=0)
-    return Dataset(schema, feats, labs, provenance)
+    return Dataset(schema, feats, labs)
 
 
 def class_mask(labels: np.ndarray, label) -> np.ndarray:
@@ -282,7 +268,7 @@ def load_csv(path, schema: Schema) -> Dataset:
 
     if not features:
         raise EmptyFile(f"{path} has a header but no data rows")
-    return Dataset(schema, np.array(features, dtype=np.float64), np.array(labels, dtype=object), "original")
+    return Dataset(schema, np.array(features, dtype=np.float64), np.array(labels, dtype=object))
 
 
 def write_csv(data: Dataset, path) -> None:
@@ -351,8 +337,6 @@ def shuffle_class_subset(data: Dataset, label, count: int, seed: int) -> Dataset
     if count < 0:
         raise ValidationError("count must be non-negative")
     rng = np.random.default_rng(seed)
-    keep = set(rng.choice(members, size=count, replace=False).tolist())
-    drop = [int(i) for i in members if int(i) not in keep]
-    mask = np.ones(len(data), dtype=bool)
-    mask[drop] = False
+    mask = ~class_mask(data.labels, label)
+    mask[rng.choice(members, size=count, replace=False)] = True
     return data.select(np.flatnonzero(mask))

@@ -67,10 +67,6 @@ class TooFewRecords(ValidationError):
     pass
 
 
-class SingularCovariance(PrivsynthError):
-    pass
-
-
 class FactorizationFailure(PrivsynthError):
     pass
 

@@ -1,8 +1,8 @@
 """Gaussian perturbation of numeric tables.
 
-Covers covariance estimation, multivariate normal density evaluation,
-zero-mean noise sampling through a symmetric factorization, and the additive
-release step ``output = input + noise``. Two noise shapes are supported:
+Covers covariance estimation, zero-mean noise sampling through a symmetric
+factorization, and the additive release step ``output = input + noise``. Two
+noise shapes are supported:
 
 - ``diagonal_scaled`` (default): each attribute gets independent noise with
   standard deviation ``g * sigma_a``, where ``sigma_a`` is that attribute's
@@ -16,19 +16,12 @@ Labels are never touched.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
-from .errors import (
-    ConfigInvalid,
-    FactorizationFailure,
-    SingularCovariance,
-    TooFewRecords,
-    ValidationError,
-)
+from .errors import ConfigInvalid, FactorizationFailure, TooFewRecords, ValidationError
 
 DIAGONAL_SCALED = "diagonal_scaled"
 FULL_COVARIANCE = "full_covariance"
@@ -94,30 +87,6 @@ def estimate_covariance(data: Dataset) -> GaussianModel:
     return GaussianModel(mean, cov)
 
 
-def gaussian_density(model: GaussianModel, x) -> float:
-    """Multivariate normal density at ``x``.
-
-    Computes ``(2 pi)^(-d/2) det(K)^(-1/2) exp(-(x-mu)^T K^-1 (x-mu) / 2)``
-    through a Cholesky factorization.
-
-    Raises:
-        SingularCovariance: covariance is not strictly positive definite.
-        DimensionMismatch-family ValidationError: wrong vector length.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.dim,):
-        raise ValidationError(f"point of shape {x.shape}, model dimension {model.dim}")
-    try:
-        chol = np.linalg.cholesky(model.covariance)
-    except np.linalg.LinAlgError:
-        raise SingularCovariance("covariance must be strictly positive definite") from None
-    z = np.linalg.solve(chol, x - model.mean)
-    quad = float(z @ z)
-    log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    log_f = -0.5 * (model.dim * math.log(2.0 * math.pi) + log_det + quad)
-    return math.exp(log_f)
-
-
 def _psd_factor(cov: np.ndarray) -> np.ndarray:
     """Symmetric factor A with A A^T = cov, tolerating tiny negative eigenvalues."""
     eigvals, eigvecs = np.linalg.eigh(cov)
@@ -153,7 +122,7 @@ def perturb(data: Dataset, cfg: NoiseConfig) -> Dataset:
     """
     feats = data.features
     if cfg.level == 0.0:
-        return Dataset(data.schema, feats, data.labels, "perturbed")
+        return Dataset(data.schema, feats, data.labels)
 
     if cfg.model == DIAGONAL_SCALED:
         scale = cfg.level * feats.std(axis=0, ddof=0)
@@ -166,4 +135,4 @@ def perturb(data: Dataset, cfg: NoiseConfig) -> Dataset:
             len(data),
             cfg.seed,
         )
-    return Dataset(data.schema, feats + noise, data.labels, "perturbed")
+    return Dataset(data.schema, feats + noise, data.labels)

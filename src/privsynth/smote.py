@@ -144,7 +144,7 @@ def generate_synthetic(minority: Dataset, table: NeighborTable, cfg: SmoteConfig
             row += 1
     label = minority.labels[0] if m else None
     labels = np.array([label] * (m * per_record), dtype=object)
-    return Dataset(minority.schema, out, labels, "synthetic")
+    return Dataset(minority.schema, out, labels)
 
 
 def synthetic_count(amount_percent: int, minority_size: int) -> int:
@@ -196,4 +196,4 @@ def run_smote(data: Dataset, minority_label, cfg: SmoteConfig) -> Dataset:
             table = nearest_neighbors(subset, cfg.neighbors, cfg.minkowski_q)
             rem_cfg = replace(cfg, amount_percent=100, seed=derive_seed(cfg.seed, "remainder"))
             parts.append(generate_synthetic(subset, table, rem_cfg))
-    return concat_datasets(parts, "merged")
+    return concat_datasets(parts)

@@ -118,7 +118,7 @@ def make_surrogate(
     labels = np.array(labels, dtype=object)
 
     order = np.random.default_rng(derive_seed(seed, "shuffle")).permutation(len(labels))
-    return Dataset(schema, features[order], labels[order], "original")
+    return Dataset(schema, features[order], labels[order])
 
 
 def _class_counts(n_records, minority_fraction):

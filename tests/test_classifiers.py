@@ -12,13 +12,9 @@ from privsynth.classifiers import (
     NaiveBayesClassifier,
     SvmClassifier,
     _TreeNode,
-    dt_classify,
     dt_train,
-    knn_classify,
     make_classifier,
-    nb_classify,
     nb_train,
-    svm_decision,
     svm_train,
 )
 from privsynth.data import Dataset, Schema, stratified_split
@@ -165,7 +161,7 @@ def surrogate_release(g, amount):
 class TestKnn:
     def test_training_point_returns_own_label(self):
         train = table([[0.0, 0.0], [5.0, 5.0], [9.0, 0.0]], ["a", "b", "c"])
-        assert knn_classify(train, [5.0, 5.0], k=1) == "b"
+        assert KnnClassifier(k=1).fit(train).predict([[5.0, 5.0]])[0] == "b"
 
     def test_five_point_oracle(self):
         cases = ("five_point", "duplicates", "ties", "mixed", "rails")
@@ -204,19 +200,19 @@ class TestKnn:
         # k=2: one 'a' at distance 1, one 'b' at distance 2 -> 1-1 tie,
         # nearest tied neighbour is the 'a'
         train = table([[1.0], [2.0], [10.0]], ["a", "b", "b"])
-        assert knn_classify(train, [0.0], k=2) == "a"
+        assert KnnClassifier(k=2).fit(train).predict([[0.0]])[0] == "a"
         # labels vote as equal under ==: 2.0 and 2 pool their votes, "1" and 1
         # do not; the nearest member of a tied class is the one returned
         for labels, expected in (([2.0, "1", 2, 1], 2.0), (["1", 1, 1.0, "1"], "1"),
                                  ([1, "1", "1", 1.0], 1), (["b", "a", "a", "b"], "b")):
             train = table([[1.0], [2.0], [3.0], [4.0]], labels)
-            pred = knn_classify(train, [0.0], k=4)
+            pred = KnnClassifier(k=4).fit(train).predict([[0.0]])[0]
             assert type(pred) is type(expected) and pred == expected, labels
 
     def test_distance_tie_prefers_lower_index(self):
         train = table([[1.0], [-1.0]], ["b", "a"])
         # both at distance 1; stable order keeps index 0 first
-        assert knn_classify(train, [0.0], k=1) == "b"
+        assert KnnClassifier(k=1).fit(train).predict([[0.0]])[0] == "b"
 
     def test_paper_setting_k3(self):
         rng = np.random.default_rng(8)
@@ -239,22 +235,21 @@ class TestNaiveBayes:
         rng = np.random.default_rng(1)
         feats = np.concatenate([rng.normal(0, 1, 40), rng.normal(20, 1, 40)])[:, None]
         train = table(feats, ["lo"] * 40 + ["hi"] * 40)
-        model = nb_train(train)
-        assert nb_classify(model, [0.0]) == "lo"
-        assert nb_classify(model, [20.0]) == "hi"
+        clf = NaiveBayesClassifier().fit(train)
+        assert clf.predict([[0.0]])[0] == "lo"
+        assert clf.predict([[20.0]])[0] == "hi"
 
     def test_midpoint_tie_goes_to_lower_class(self):
         # symmetric classes, equal priors: scores tie at the midpoint
         train = table([[-1.0], [-3.0], [5.0], [7.0]], [1, 1, 2, 2])
-        model = nb_train(train)
-        assert nb_classify(model, [2.0]) == 1
+        assert NaiveBayesClassifier().fit(train).predict([[2.0]])[0] == 1
 
     def test_against_high_precision_oracle(self):
         rng = np.random.default_rng(5)
         feats = np.vstack([rng.normal(0, 1, size=(10, 2)), rng.normal(2.5, 1.5, size=(10, 2))])
         labels = ["a"] * 10 + ["b"] * 10
         train = table(feats, labels)
-        model = nb_train(train)
+        clf = NaiveBayesClassifier().fit(train)
 
         mpmath.mp.dps = 60
 
@@ -274,7 +269,7 @@ class TestNaiveBayes:
 
         for _ in range(60):
             z = rng.uniform(-2, 5, size=2)
-            assert nb_classify(model, z) == oracle(z)
+            assert clf.predict([z])[0] == oracle(z)
 
     def test_shift_invariance(self):
         # adding a constant to one attribute everywhere shifts means only
@@ -286,12 +281,12 @@ class TestNaiveBayes:
         shifted_feats[:, 1] += 100.0
         shifted = table(shifted_feats, labels)
         queries = rng.normal(size=(30, 3))
-        base_model = nb_train(train)
-        shift_model = nb_train(shifted)
+        base = NaiveBayesClassifier().fit(train)
+        shift = NaiveBayesClassifier().fit(shifted)
         for q in queries:
             q_shift = q.copy()
             q_shift[1] += 100.0
-            assert nb_classify(base_model, q) == nb_classify(shift_model, q_shift)
+            assert base.predict([q])[0] == shift.predict([q_shift])[0]
 
     def test_degenerate_class(self):
         train = table([[0.0], [1.0], [2.0]], ["a", "a", "b"])
@@ -301,19 +296,19 @@ class TestNaiveBayes:
     def test_constant_attribute_harmless(self):
         feats = np.column_stack([np.full(40, 3.0), np.random.default_rng(2).normal(size=40)])
         labels = ["a"] * 20 + ["b"] * 20
-        model = nb_train(table(feats, labels))
-        assert nb_classify(model, [3.0, 0.0]) in ("a", "b")
+        clf = NaiveBayesClassifier().fit(table(feats, labels))
+        assert clf.predict([[3.0, 0.0]])[0] in ("a", "b")
 
 
 class TestSvm:
     def test_sign_examples(self):
         model = LinearSvmModel(np.array([1.0, 0.0]), 0.0)
-        assert svm_decision(model, [3.0, 7.0]) == 1
-        assert svm_decision(model, [-2.0, 7.0]) == -1
+        assert model.predict([[3.0, 7.0]])[0] == 1
+        assert model.predict([[-2.0, 7.0]])[0] == -1
 
     def test_boundary_maps_to_plus_one(self):
         model = LinearSvmModel(np.array([1.0, 1.0]), -2.0)
-        assert svm_decision(model, [1.0, 1.0]) == 1
+        assert model.predict([[1.0, 1.0]])[0] == 1
 
     def test_random_triples_match_dot_product(self):
         rng = np.random.default_rng(4)
@@ -323,12 +318,12 @@ class TestSvm:
             z = rng.normal(size=3)
             model = LinearSvmModel(u, c)
             expected = 1 if float(u @ z + c) >= 0 else -1
-            assert svm_decision(model, z) == expected
+            assert model.predict([z])[0] == expected
 
     def test_dimension_mismatch(self):
         model = LinearSvmModel(np.array([1.0, 0.0]), 0.0)
         with pytest.raises(DimensionMismatch):
-            svm_decision(model, [1.0])
+            model.predict([[1.0]])
 
     def test_separable_clusters_perfect_training_accuracy(self):
         rng = np.random.default_rng(6)
@@ -336,7 +331,7 @@ class TestSvm:
         right = rng.normal(5, 0.5, size=(40, 2))
         train = table(np.vstack([left, right]), [-1] * 40 + [1] * 40)
         model = svm_train(train, epochs=40, reg=1e-3, seed=0)
-        preds = [svm_decision(model, row) for row in train.features]
+        preds = model.predict(train.features)
         actual = [-1] * 40 + [1] * 40
         assert preds == actual
 
@@ -369,15 +364,15 @@ class TestSvm:
 class TestDecisionTree:
     def test_pure_data_single_leaf(self):
         train = table([[0.0], [1.0], [2.0]], ["a", "a", "a"])
-        model = dt_train(train, max_depth=5, min_leaf=1)
-        assert model.root.is_leaf
-        assert dt_classify(model, [99.0]) == "a"
+        clf = DecisionTreeClassifier(max_depth=5, min_leaf=1).fit(train)
+        assert clf.model.root.is_leaf
+        assert clf.predict([[99.0]])[0] == "a"
 
     def test_1d_split_between_clusters(self):
         train = table([[0.0], [1.0], [10.0], [11.0]], ["A", "A", "B", "B"])
-        model = dt_train(train, max_depth=3, min_leaf=1)
-        assert 1.0 < model.root.threshold < 10.0
-        preds = [dt_classify(model, row) for row in train.features]
+        clf = DecisionTreeClassifier(max_depth=3, min_leaf=1).fit(train)
+        assert 1.0 < clf.model.root.threshold < 10.0
+        preds = clf.predict(train.features)
         assert preds == ["A", "A", "B", "B"]
 
     def test_stump_cannot_fit_xor(self):
@@ -398,15 +393,15 @@ class TestDecisionTree:
                         best = max(best, float(acc))
         assert best <= 0.75
 
-        model = dt_train(train, max_depth=1, min_leaf=1)
-        acc = np.mean([dt_classify(model, f) == l for f, l in zip(feats, labels)])
+        clf = DecisionTreeClassifier(max_depth=1, min_leaf=1).fit(train)
+        acc = np.mean([p == l for p, l in zip(clf.predict(feats), labels)])
         assert acc <= best
 
     def test_deeper_tree_fits_xor(self):
         feats = [[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]]
         labels = ["a", "a", "b", "b"]
-        model = dt_train(table(feats, labels), max_depth=3, min_leaf=1)
-        assert all(dt_classify(model, f) == l for f, l in zip(feats, labels))
+        clf = DecisionTreeClassifier(max_depth=3, min_leaf=1).fit(table(feats, labels))
+        assert all(p == l for p, l in zip(clf.predict(feats), labels))
 
     def test_min_leaf_respected(self):
         rng = np.random.default_rng(10)
@@ -445,6 +440,18 @@ class TestDecisionTree:
             dt_train(train, max_depth=0)
         with pytest.raises(EmptyTrainSet):
             dt_train(table(np.empty((0, 1)), []))
+
+
+@pytest.mark.parametrize("width", [1, 3], ids=["d-1", "d+1"])
+@pytest.mark.parametrize("name", ["knn", "nb", "dt", "svm"])
+def test_predict_rejects_wrong_width(name, width):
+    # a 2-attribute model: one column would broadcast against it and a tree
+    # that never splits on the third would not look at it
+    rng = np.random.default_rng(14)
+    train = table(rng.normal(size=(20, 2)), ["a", "b"] * 10)
+    clf = make_classifier(name).fit(train)
+    with pytest.raises(DimensionMismatch):
+        clf.predict(np.zeros((4, width)))
 
 
 class TestFactory:

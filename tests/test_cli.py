@@ -3,8 +3,9 @@ import json
 import pytest
 
 from privsynth import cli
+from privsynth.anonymity import QuasiIdentifierSpec, equivalence_classes, risk_report
 from privsynth.cli import _FLAG_KEYS, _pipeline_config, build_parser, main
-from privsynth.data import stratified_split, write_csv
+from privsynth.data import Schema, load_csv, stratified_split, write_csv
 from privsynth.pipeline import PipelineConfig
 from privsynth.surrogate import make_surrogate
 
@@ -133,6 +134,18 @@ class TestAudit:
         payload = json.loads((tmp_path / "audit" / "risk.json").read_text())
         assert payload["k"] == 3
 
+    def test_bins_without_qi_columns_bin_every_numeric_column(self, workspace, capsys):
+        argv = ["audit", "--input", workspace / "data.csv", "--schema", workspace / "schema.json"]
+        assert run(argv) == 0
+        default = capsys.readouterr().out
+        assert run(argv + ["--bins", "3"]) == 0
+        binned = capsys.readouterr().out
+        schema = Schema.load(workspace / "schema.json")
+        data = load_csv(workspace / "data.csv", schema)
+        spec = QuasiIdentifierSpec.all_numeric(schema, 3)
+        assert binned == risk_report(equivalence_classes(data, spec), 2).to_json()
+        assert binned != default
+
     def test_programming_error_propagates(self, workspace, monkeypatch):
         # only library errors become exit codes; a bug keeps its traceback
         def broken(*args, **kwargs):
@@ -209,6 +222,16 @@ class TestSweepAndPlotdata:
     def test_plotdata_missing_report(self, tmp_path):
         code = run(["plotdata", "--report", tmp_path / "none.json", "--out", tmp_path])
         assert code == 1
+
+
+@pytest.mark.parametrize("command", ["synthesize", "sweep"])
+def test_bins_without_qi_columns_reach_the_pipeline_config(workspace, command):
+    argv = [command, "--input", str(workspace / "data.csv"),
+            "--schema", str(workspace / "schema.json"), "--minority-label", "12"]
+    schema = Schema.load(workspace / "schema.json")
+    assert _pipeline_config(build_parser().parse_args(argv)).qi is None
+    cfg = _pipeline_config(build_parser().parse_args(argv + ["--bins", "3"]))
+    assert cfg.qi == QuasiIdentifierSpec.all_numeric(schema, 3)
 
 
 class TestErrorPolicy:

@@ -82,7 +82,6 @@ class TestLoadCsv:
         data = load_csv(path, XY_SCHEMA)
         assert len(data) == 3
         assert data.dim == 2
-        assert data.provenance == "original"
         assert data.labels.tolist() == ["a", "b", "a"]
         assert data.features[1, 1] == -1.25
 
@@ -241,4 +240,4 @@ class TestSeedsAndHelpers:
         other_schema = Schema((("z", "numeric"), ("label", "label")))
         other = Dataset(other_schema, np.ones((1, 1)), np.array(["a"], dtype=object))
         with pytest.raises(ValidationError):
-            concat_datasets([data, other], "merged")
+            concat_datasets([data, other])

@@ -8,7 +8,6 @@ from privsynth.data import Dataset, Schema
 from privsynth.errors import (
     ConfigInvalid,
     FactorizationFailure,
-    SingularCovariance,
     TooFewRecords,
     ValidationError,
 )
@@ -17,7 +16,6 @@ from privsynth.noise import (
     NoiseConfig,
     _psd_factor,
     estimate_covariance,
-    gaussian_density,
     perturb,
     sample_noise,
 )
@@ -74,37 +72,6 @@ class TestGaussianModel:
             GaussianModel(np.zeros(2), np.array([[1.0, 0.0], [0.0, -0.5]]))
 
 
-class TestGaussianDensity:
-    def test_standard_normal_peak(self):
-        model = GaussianModel(np.zeros(1), np.eye(1))
-        assert gaussian_density(model, [0.0]) == pytest.approx(1.0 / math.sqrt(2 * math.pi),
-                                                               abs=1e-12)
-
-    def test_peak_value_general(self):
-        cov = np.array([[2.0, 0.3], [0.3, 1.0]])
-        model = GaussianModel(np.array([1.0, -2.0]), cov)
-        expected = (2 * math.pi) ** -1 * np.linalg.det(cov) ** -0.5
-        assert gaussian_density(model, [1.0, -2.0]) == pytest.approx(expected, rel=1e-12)
-
-    def test_hand_case_identity_2d(self):
-        model = GaussianModel(np.zeros(2), np.eye(2))
-        expected = math.exp(-1.0) / (2 * math.pi)  # ~0.058550
-        assert gaussian_density(model, [1.0, 1.0]) == pytest.approx(expected, rel=1e-12)
-
-    def test_singular_covariance(self):
-        model = GaussianModel(np.zeros(2), np.array([[1.0, 1.0], [1.0, 1.0]]))
-        with pytest.raises(SingularCovariance):
-            gaussian_density(model, [0.0, 0.0])
-
-    def test_integrates_to_one_1d(self):
-        # trapezoid quadrature over +/- 8 sigma
-        sigma2 = 2.5
-        model = GaussianModel(np.array([0.7]), np.array([[sigma2]]))
-        xs = np.linspace(0.7 - 8 * math.sqrt(sigma2), 0.7 + 8 * math.sqrt(sigma2), 20_001)
-        ys = [gaussian_density(model, [x]) for x in xs]
-        assert np.trapezoid(ys, xs) == pytest.approx(1.0, abs=1e-6)
-
-
 class TestSampleNoise:
     def test_zero_covariance_gives_zeros(self):
         model = GaussianModel(np.zeros(3), np.zeros((3, 3)))
@@ -146,7 +113,6 @@ class TestPerturb:
         data = table(np.random.default_rng(0).normal(size=(50, 3)))
         out = perturb(data, NoiseConfig(level=0.0, seed=5))
         assert np.array_equal(out.features, data.features)
-        assert out.provenance == "perturbed"
 
     def test_noise_std_tracks_attribute_spread(self):
         # attribute with sigma 10 at level 0.3 -> noise std 3.0 within 2%

@@ -64,7 +64,6 @@ class TestRunPipeline:
         minority_train = data.class_counts()[12] - round(0.3 * data.class_counts()[12])
         expected = (len(data) - test_size) + synthetic_count(200, minority_train)
         assert len(released) == expected
-        assert released.provenance == "perturbed"
 
         out = Path(cfg.out_dir)
         assert (out / "released.csv").exists()
@@ -137,7 +136,7 @@ class TestRunPipeline:
         def leaky(rows, minority_label, cfg):
             merged = real_smote(rows, minority_label, cfg)
             return Dataset(merged.schema, np.vstack([merged.features, test.features[i:i + 1]]),
-                           np.append(merged.labels, test.labels[i]), merged.provenance)
+                           np.append(merged.labels, test.labels[i]))
 
         monkeypatch.setattr(pipeline, "run_smote", leaky)
         cfg = config(small_table, tmp_path / "leak", noise=NoiseConfig(level=0.0))

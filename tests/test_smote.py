@@ -139,7 +139,6 @@ class TestGenerateSynthetic:
         synth = generate_synthetic(minority, table, cfg)
         assert len(synth) == 6
         assert np.allclose(synth.features, [4.0, -1.0])
-        assert synth.provenance == "synthetic"
         assert set(synth.labels.tolist()) == {"m"}
 
     def test_five_per_record_at_500(self):
@@ -213,7 +212,6 @@ class TestRunSmote:
         out = run_smote(data, "m", SmoteConfig(250, 3, seed=6))
         assert np.array_equal(out.features[: len(data)], data.features)
         assert out.labels[: len(data)].tolist() == data.labels.tolist()
-        assert out.provenance == "merged"
 
     def test_determinism_bit_identical(self):
         data = self.make_data(m=12, seed=5)
