@@ -7,10 +7,12 @@ Subcommands:
     sweep       run the pipeline over a (noise, amount, k) grid
     plotdata    expand a sweep report into per-figure CSV tables
 
-Every subcommand reads its settings one way: the JSON config file (--config,
-keys mirroring the pipeline configuration) overlaid with each flag given, so
-an explicit flag wins over the file; a setting given nowhere takes the default
-of its config type.
+Each flag is declared once, in ``_FLAGS``, with the settings key it sets;
+``_COMMANDS`` lists the flags each subcommand takes. Every subcommand reads its
+settings one way: each flag given overlaid on the JSON config file that
+synthesize and sweep accept with --config (keys mirroring the pipeline
+configuration), so an explicit flag wins over the file; a setting given
+nowhere takes the default of its config type.
 
 Exit codes, the same from every subcommand: 0 success; 1 when the command
 line or an input CSV, schema or config file is malformed or missing; 2 when a
@@ -24,12 +26,14 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .anonymity import DEFAULT_BINS, QuasiIdentifierSpec, equivalence_classes, risk_report
-from .classifiers import make_classifier
+from .classifiers import CLASSIFIERS, make_classifier
 from .data import Schema, derive_seed, load_csv, parse_label
 from .errors import ConfigInvalid, PrivsynthError, ValidationError
 from .metrics import evaluate
+from .noise import DIAGONAL_SCALED, FULL_COVARIANCE, NoiseConfig
 from .pipeline import (
     PipelineConfig,
     SweepGrid,
@@ -38,6 +42,7 @@ from .pipeline import (
     run_pipeline,
     run_sweep,
 )
+from .smote import SmoteConfig
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -52,60 +57,52 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _add_common_io(p):
-    p.add_argument("--input", help="input CSV")
-    p.add_argument("--schema", help="schema JSON (column names, kinds, label)")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--seed", type=int, help="master seed (default 0)")
+class _Flag(NamedTuple):
+    """One flag: the settings key it sets, how argparse reads it, its help and
+    the default --help shows, read from the config type that applies it."""
+
+    key: tuple[str, ...] | None  # None only for --config, which names the file
+    help: str
+    type: type = str
+    default: object = None
 
 
-def _add_pipeline_flags(p):
-    _add_common_io(p)
-    p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--minority-label", help="class to oversample")
-    p.add_argument("--smote-amount", type=int, help="oversampling amount E%% (default 100)")
-    p.add_argument("--neighbors", type=int, help="neighbour count s (default 5)")
-    p.add_argument("--noise", type=float, help="noise level g (default 0)")
-    p.add_argument("--noise-model", choices=["diagonal_scaled", "full_covariance"],
-                   help="noise shape (default diagonal_scaled)")
-    p.add_argument("--qi-columns", help="comma-separated quasi-identifier columns "
-                                        "(default: all numeric)")
-    p.add_argument("--bins", type=int, help="equal-width bins per QI column (default 10)")
-    p.add_argument("--k", type=int, help="anonymity parameter (default 2)")
-    p.add_argument("--classifiers", help="comma list from knn,nb,dt,svm (default knn,nb,dt)")
-    p.add_argument("--test-fraction", type=float, help="held-out fraction (default 0.3)")
+# every flag of every subcommand, declared once; _COMMANDS says which
+# subcommand takes which
+_FLAGS = {
+    "--config": _Flag(None, "JSON config file; flags override its values"),
+    "--input": _Flag(("input",), "input CSV"),
+    "--schema": _Flag(("schema",), "schema JSON (column names, kinds, label)"),
+    "--test": _Flag(("test",), "test CSV (same schema as --input)"),
+    "--report": _Flag(("report",), "sweep.json produced by the sweep command"),
+    "--out": _Flag(("out_dir",), "output directory"),
+    "--seed": _Flag(("seed",), "master seed", int, PipelineConfig.seed),
+    "--minority-label": _Flag(("minority_label",), "class to oversample"),
+    "--smote-amount": _Flag(("smote", "amount_percent"), "oversampling amount E%%", int,
+                            SmoteConfig.amount_percent),
+    "--neighbors": _Flag(("smote", "neighbors"), "neighbour count s", int, SmoteConfig.neighbors),
+    "--noise": _Flag(("noise", "level"), "noise level g", float, NoiseConfig.level),
+    "--noise-model": _Flag(("noise", "model"), f"noise shape, {DIAGONAL_SCALED} or "
+                           f"{FULL_COVARIANCE}", default=NoiseConfig.model),
+    "--qi-columns": _Flag(("qi_columns",), "comma-separated quasi-identifier columns",
+                          default="every numeric column"),
+    "--bins": _Flag(("bins",), "equal-width bins per QI column", int, DEFAULT_BINS),
+    "--k": _Flag(("k",), "anonymity parameter", int, PipelineConfig.k),
+    "--classifiers": _Flag(("classifiers",), f"comma list from {','.join(CLASSIFIERS)}",
+                           default=PipelineConfig.classifiers),
+    "--test-fraction": _Flag(("test_fraction",), "held-out fraction", float,
+                             PipelineConfig.test_fraction),
+    "--noise-levels": _Flag(("noise_levels",), "comma list of g values",
+                            default=SweepGrid.noise_levels),
+    "--smote-amounts": _Flag(("smote_amounts",), "comma list of E values",
+                             default=SweepGrid.smote_amounts),
+    "--k-values": _Flag(("k_values",), "comma list of k values", default="the --k value"),
+}
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="privsynth",
-                     description="Privacy-preserving tabular data release toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synthesize", help="run the full release pipeline")
-    _add_pipeline_flags(p)
-
-    p = sub.add_parser("audit", help="k-anonymity audit of an existing CSV")
-    _add_common_io(p)
-    p.add_argument("--qi-columns")
-    p.add_argument("--bins", type=int)
-    p.add_argument("--k", type=int)
-
-    p = sub.add_parser("evaluate", help="classifier evaluation on provided train/test CSVs")
-    _add_common_io(p)
-    p.add_argument("--test", help="test CSV (same schema as --input)")
-    p.add_argument("--classifiers")
-
-    p = sub.add_parser("sweep", help="run the pipeline over a parameter grid")
-    _add_pipeline_flags(p)
-    p.add_argument("--noise-levels", help="comma list of g values (default 0.1,0.3,0.6,1.0)")
-    p.add_argument("--smote-amounts", help="comma list of E values (default 130,220,370,500)")
-    p.add_argument("--k-values", help="comma list of k values (default 2)")
-
-    p = sub.add_parser("plotdata", help="per-figure CSV tables from a sweep report")
-    p.add_argument("--report", help="sweep.json produced by the sweep command")
-    p.add_argument("--out", help="output directory")
-
-    return parser
+def _help(flag: _Flag) -> str:
+    shown = ",".join(map(str, flag.default)) if isinstance(flag.default, tuple) else flag.default
+    return flag.help if shown is None else f"{flag.help} (default {shown})"
 
 
 def _require(value, flag):
@@ -123,33 +120,6 @@ def _split_list(value):
     return value
 
 
-# flag dest -> key path in the settings; the keys mirror PipelineConfig.to_dict
-# plus the QI flags, the grid axes and the audit/evaluate/plotdata file
-# arguments. Every flag of every subcommand is here, so a given flag always
-# overrides the config-file value the same way.
-_FLAG_KEYS = {
-    "input": ("input",),
-    "schema": ("schema",),
-    "test": ("test",),
-    "report": ("report",),
-    "out": ("out_dir",),
-    "seed": ("seed",),
-    "minority_label": ("minority_label",),
-    "smote_amount": ("smote", "amount_percent"),
-    "neighbors": ("smote", "neighbors"),
-    "noise": ("noise", "level"),
-    "noise_model": ("noise", "model"),
-    "qi_columns": ("qi_columns",),
-    "bins": ("bins",),
-    "k": ("k",),
-    "classifiers": ("classifiers",),
-    "test_fraction": ("test_fraction",),
-    "noise_levels": ("noise_levels",),
-    "smote_amounts": ("smote_amounts",),
-    "k_values": ("k_values",),
-}
-
-
 def _settings(args) -> dict:
     """The --config file's settings, read once, overlaid with every flag given."""
     settings = {}
@@ -157,17 +127,16 @@ def _settings(args) -> dict:
         settings = json.loads(Path(args.config).read_text(encoding="utf-8"))
         if not isinstance(settings, dict):
             raise ConfigInvalid(f"config file {args.config} must hold a JSON object")
-    for dest, path in _FLAG_KEYS.items():
-        value = getattr(args, dest, None)
-        if value is None:
+    for name in _COMMANDS[args.command].flags:
+        key, value = _FLAGS[name].key, getattr(args, name[2:].replace("-", "_"))
+        if key is None or value is None:
             continue
-        if len(path) == 1:
-            settings[path[0]] = value
-            continue
-        section = settings.get(path[0], {})
-        if not isinstance(section, dict):
-            raise ConfigInvalid(f"{path[0]} must be a JSON object, got {section!r}")
-        settings[path[0]] = {**section, path[1]: value}
+        if len(key) == 2:  # a key inside a section: smote or noise
+            section = settings.get(key[0], {})
+            if not isinstance(section, dict):
+                raise ConfigInvalid(f"{key[0]} must be a JSON object, got {section!r}")
+            value = {**section, key[1]: value}
+        settings[key[0]] = value
     return settings
 
 
@@ -182,10 +151,14 @@ def _qi_spec(settings, schema) -> QuasiIdentifierSpec | None:
     return QuasiIdentifierSpec(tuple(columns), {c: bins for c in columns})
 
 
-def _pipeline_config(args, settings=None) -> PipelineConfig:
-    """The pipeline configuration of ``settings`` (``_settings(args)`` when
-    None); what they leave out takes its default from the config types."""
-    payload = dict(_settings(args) if settings is None else settings)
+# the settings the CLI reads itself; every other key goes to PipelineConfig
+_CLI_KEYS = ("qi_columns", "bins", "noise_levels", "smote_amounts", "k_values")
+
+
+def _pipeline_config(settings) -> PipelineConfig:
+    """The pipeline configuration of ``settings``; what they leave out takes
+    its default from the config types."""
+    payload = {key: value for key, value in settings.items() if key not in _CLI_KEYS}
     _require(payload.get("input"), "--input")
     schema = Schema.load(_require(payload.get("schema"), "--schema"))
     minority = _require(payload.get("minority_label"), "--minority-label")
@@ -193,7 +166,7 @@ def _pipeline_config(args, settings=None) -> PipelineConfig:
         payload["minority_label"] = parse_label(minority)
     if "classifiers" in payload:
         payload["classifiers"] = _split_list(payload["classifiers"])
-    qi = _qi_spec(payload, schema)
+    qi = _qi_spec(settings, schema)
     if qi is not None:
         payload["qi"] = qi.to_dict()
 
@@ -204,7 +177,7 @@ def _pipeline_config(args, settings=None) -> PipelineConfig:
 
 
 def _cmd_synthesize(args) -> int:
-    cfg = _pipeline_config(args)
+    cfg = _pipeline_config(_settings(args))
     released, risk, reports = run_pipeline(cfg)
     print(f"released {len(released)} records to {cfg.out_dir}")
     print(f"risk at k={cfg.k}: {risk.risk:.4f} "
@@ -263,12 +236,10 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     settings = _settings(args)
-    cfg = _pipeline_config(args, settings)
-    grid = SweepGrid(
-        noise_levels=_split_list(settings.get("noise_levels", "0.1,0.3,0.6,1.0")),
-        smote_amounts=_split_list(settings.get("smote_amounts", "130,220,370,500")),
-        k_values=_split_list(settings.get("k_values", [cfg.k])),
-    )
+    cfg = _pipeline_config(settings)
+    axes = {axis: _split_list(settings[axis])
+            for axis in ("noise_levels", "smote_amounts") if axis in settings}
+    grid = SweepGrid(k_values=_split_list(settings.get("k_values", [cfg.k])), **axes)
     report = run_sweep(cfg, grid)
     ok = sum(1 for r in report.rows if r.status == "ok")
     failed = len(report.rows) - ok
@@ -287,20 +258,45 @@ def _cmd_plotdata(args) -> int:
     return EXIT_OK
 
 
+class _Command(NamedTuple):
+    run: Callable[[argparse.Namespace], int]
+    help: str
+    flags: tuple[str, ...]  # keys of _FLAGS, in --help order
+
+
+_IO = ("--input", "--schema", "--out", "--seed")
+_PIPELINE = (*_IO, "--config", "--minority-label", "--smote-amount", "--neighbors", "--noise",
+             "--noise-model", "--qi-columns", "--bins", "--k", "--classifiers", "--test-fraction")
+
 _COMMANDS = {
-    "synthesize": _cmd_synthesize,
-    "audit": _cmd_audit,
-    "evaluate": _cmd_evaluate,
-    "sweep": _cmd_sweep,
-    "plotdata": _cmd_plotdata,
+    "synthesize": _Command(_cmd_synthesize, "run the full release pipeline", _PIPELINE),
+    "audit": _Command(_cmd_audit, "k-anonymity audit of an existing CSV",
+                      (*_IO, "--qi-columns", "--bins", "--k")),
+    "evaluate": _Command(_cmd_evaluate, "classifier evaluation on provided train/test CSVs",
+                         (*_IO, "--test", "--classifiers")),
+    "sweep": _Command(_cmd_sweep, "run the pipeline over a parameter grid",
+                      (*_PIPELINE, "--noise-levels", "--smote-amounts", "--k-values")),
+    "plotdata": _Command(_cmd_plotdata, "per-figure CSV tables from a sweep report",
+                         ("--report", "--out")),
 }
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(prog="privsynth",
+                     description="Privacy-preserving tabular data release toolkit")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag in command.flags:
+            p.add_argument(flag, type=_FLAGS[flag].type, help=_help(_FLAGS[flag]))
+    return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command].run(args)
     except (ValidationError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -21,7 +21,8 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import asdict, dataclass, fields, replace
 from itertools import product
 from pathlib import Path
 
@@ -45,12 +46,19 @@ from .smote import SmoteConfig, run_smote
 _CASTS = {"k": int, "classifiers": tuple, "test_fraction": float, "seed": int, "out_dir": str}
 _SMOTE_CASTS = {"amount_percent": int, "neighbors": int, "minkowski_q": float}
 _NOISE_CASTS = {"level": float, "model": str}
+# what run_manifest.json adds to the config, derived from ``seed``; a manifest
+# read back as a config skips them
+_DERIVED_KEYS = ("effective_seed", "stage_seeds")
 
 
-def _cast_fields(section, casts: dict) -> dict:
-    """The keys of ``casts`` that the JSON object ``section`` holds, each cast."""
+def _cast_fields(section, casts: dict, name: str, uncast=()) -> dict:
+    """The keys of ``casts`` that the JSON object ``section`` holds, each cast.
+    A key in neither ``casts`` nor ``uncast`` raises :class:`ConfigInvalid`."""
     if not isinstance(section, dict):
         raise TypeError(f"expected a JSON object, got {section!r}")
+    unknown = sorted(set(section) - set(casts) - set(uncast))
+    if unknown:
+        raise ConfigInvalid(f"unknown {name} key(s): {', '.join(unknown)}")
     return {key: cast(section[key]) for key, cast in casts.items() if key in section}
 
 
@@ -58,9 +66,9 @@ def _cast_fields(section, casts: dict) -> dict:
 class PipelineConfig:
     """Everything one pipeline run needs.
 
-    The seeds inside ``smote`` and ``noise`` are ignored: the pipeline
-    derives stage seeds from ``seed``, so a single number reproduces the
-    whole run.
+    The seeds inside ``smote`` and ``noise`` are ignored, and a config file
+    cannot set them: the pipeline derives stage seeds from ``seed``, so a
+    single number reproduces the whole run.
     """
 
     input: str
@@ -88,51 +96,49 @@ class PipelineConfig:
         object.__setattr__(self, "classifiers", tuple(self.classifiers))
 
     def to_dict(self) -> dict:
-        return {
-            "input": self.input,
-            "schema": self.schema,
-            "minority_label": self.minority_label,
-            "smote": {
-                "amount_percent": self.smote.amount_percent,
-                "neighbors": self.smote.neighbors,
-                "minkowski_q": self.smote.minkowski_q,
-            },
-            "noise": {"level": self.noise.level, "model": self.noise.model},
-            "k": self.k,
-            "qi": self.qi.to_dict() if self.qi else None,
-            "classifiers": list(self.classifiers),
-            "test_fraction": self.test_fraction,
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-        }
+        """Every field as JSON-ready data, less the two stage seeds."""
+        payload = asdict(self)
+        del payload["smote"]["seed"], payload["noise"]["seed"]
+        return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> "PipelineConfig":
         """Inverse of :meth:`to_dict`. A key left out takes the default of its
         field, so the defaults live only on the config types. A payload that
-        lacks input, schema or minority_label, or holds a value of the wrong
-        type, raises :class:`ConfigInvalid`."""
+        lacks input, schema or minority_label, holds a value of the wrong type
+        or a key that names no field raises :class:`ConfigInvalid`; the keys
+        that run_manifest.json derives from ``seed`` are skipped."""
         try:
-            fields = _cast_fields(payload, _CASTS)
+            known = {field.name for field in fields(cls)} | set(_DERIVED_KEYS)
+            cast = _cast_fields(payload, _CASTS, "config", known)
             qi = payload.get("qi")
             return cls(
                 **{key: payload[key] for key in ("input", "schema", "minority_label")},
-                smote=SmoteConfig(**_cast_fields(payload.get("smote", {}), _SMOTE_CASTS)),
-                noise=NoiseConfig(**_cast_fields(payload.get("noise", {}), _NOISE_CASTS)),
+                smote=SmoteConfig(**_cast_fields(payload.get("smote", {}), _SMOTE_CASTS, "smote")),
+                noise=NoiseConfig(**_cast_fields(payload.get("noise", {}), _NOISE_CASTS, "noise")),
                 qi=QuasiIdentifierSpec.from_dict(qi) if qi else None,
-                **fields,
+                **cast,
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigInvalid(f"malformed pipeline config: {type(exc).__name__}: {exc}") from None
 
 
+def point_dir_name(g: float, amount: int, k: int) -> str:
+    return f"g{g:g}_E{amount}_k{k}"
+
+
 @dataclass(frozen=True)
 class SweepGrid:
-    """Axes of a parameter sweep: noise levels x oversampling amounts x k."""
+    """Axes of a parameter sweep: noise levels x oversampling amounts x k.
 
-    noise_levels: tuple[float, ...]
-    smote_amounts: tuple[int, ...]
-    k_values: tuple[int, ...] = (2,)
+    Every point gets its own output directory, so two points that share one
+    (equal values, or noise levels alike to six significant digits) raise
+    :class:`ConfigInvalid`.
+    """
+
+    noise_levels: tuple[float, ...] = (0.1, 0.3, 0.6, 1.0)
+    smote_amounts: tuple[int, ...] = (130, 220, 370, 500)
+    k_values: tuple[int, ...] = (PipelineConfig.k,)
 
     def __post_init__(self):
         try:
@@ -149,6 +155,10 @@ class SweepGrid:
             raise ConfigInvalid("oversampling amounts must be >= 1")
         if any(k < 1 for k in self.k_values):
             raise ConfigInvalid("k values must be >= 1")
+        dirs = Counter(point_dir_name(*point) for point in self.points())
+        shared = [name for name, count in dirs.items() if count > 1]
+        if shared:
+            raise ConfigInvalid(f"grid points share output directories: {', '.join(shared)}")
 
     def points(self):
         """Grid points in stable sorted (g, E, k) order."""
@@ -312,10 +322,6 @@ def run_pipeline(cfg: PipelineConfig) -> tuple[Dataset, RiskReport, list[EvalRep
     return run_stages(data, cfg, cfg.seed, Path(cfg.out_dir))
 
 
-def point_dir_name(g: float, amount: int, k: int) -> str:
-    return f"g{g:g}_E{amount}_k{k}"
-
-
 def run_sweep(cfg: PipelineConfig, grid: SweepGrid) -> SweepReport:
     """Run the pipeline once per grid point and gather a report.
 
@@ -346,28 +352,20 @@ def run_sweep(cfg: PipelineConfig, grid: SweepGrid) -> SweepReport:
             _, risk, reports = run_stages(
                 data, point_cfg, point_seed, out_root / point_dir_name(g, amount, k)
             )
+            outcomes = [(r.classifier, dict(
+                status="ok", accuracy=r.accuracy, macro_precision=r.macro_precision,
+                macro_recall=r.macro_recall, macro_f_measure=r.macro_f_measure,
+                risk=risk.risk, satisfies_k_anonymity=risk.satisfies_k_anonymity,
+            )) for r in reports]
         except StageError as exc:  # isolate the point, keep sweeping
-            elapsed = time.perf_counter() - started
-            for name in cfg.classifiers:
-                rows.append(SweepRow(
-                    noise_level=float(g), smote_amount=int(amount), k=int(k),
-                    classifier=name, status="failed", wall_seconds=elapsed,
-                    error=f"{exc.stage}: {type(exc.cause).__name__}: {exc.cause}",
-                ))
-            continue
+            error = f"{exc.stage}: {type(exc.cause).__name__}: {exc.cause}"
+            outcomes = [(name, dict(status="failed", error=error)) for name in cfg.classifiers]
         elapsed = time.perf_counter() - started
-        for report in reports:
-            rows.append(SweepRow(
-                noise_level=float(g), smote_amount=int(amount), k=int(k),
-                classifier=report.classifier, status="ok",
-                accuracy=report.accuracy,
-                macro_precision=report.macro_precision,
-                macro_recall=report.macro_recall,
-                macro_f_measure=report.macro_f_measure,
-                risk=risk.risk,
-                satisfies_k_anonymity=risk.satisfies_k_anonymity,
-                wall_seconds=elapsed,
-            ))
+        rows += [
+            SweepRow(noise_level=float(g), smote_amount=int(amount), k=int(k),
+                     classifier=name, wall_seconds=elapsed, **outcome)
+            for name, outcome in outcomes
+        ]
 
     report = SweepReport(tuple(rows))
     try:

@@ -1,10 +1,13 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from privsynth import cli
 from privsynth.anonymity import QuasiIdentifierSpec, equivalence_classes, risk_report
-from privsynth.cli import _FLAG_KEYS, _pipeline_config, build_parser, main
+from privsynth.cli import _COMMANDS, _FLAGS, _pipeline_config, _settings, build_parser, main
 from privsynth.data import Schema, load_csv, stratified_split, write_csv
 from privsynth.pipeline import PipelineConfig
 from privsynth.surrogate import make_surrogate
@@ -77,7 +80,7 @@ class TestSynthesize:
             "--schema", str(workspace / "schema.json"),
             "--minority-label", " 12 ",  # parsed like a CSV label cell
         ])
-        assert _pipeline_config(args, None) == PipelineConfig.from_dict({
+        assert _pipeline_config(_settings(args)) == PipelineConfig.from_dict({
             "input": str(workspace / "data.csv"),
             "schema": str(workspace / "schema.json"),
             "minority_label": 12,
@@ -95,6 +98,28 @@ class TestSynthesize:
             "--minority-label", "12",
         ])
         assert code == 1
+
+    def test_run_manifest_as_config_reproduces_the_run(self, workspace, tmp_path):
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert run([
+            "synthesize",
+            "--input", workspace / "data.csv",
+            "--schema", workspace / "schema.json",
+            "--minority-label", "12",
+            "--smote-amount", "200",
+            "--noise", "0.3",
+            "--qi-columns", "acc_chest_x,acc_chest_y",
+            "--classifiers", "nb",
+            "--seed", "5",
+            "--out", first,
+        ]) == 0
+        # the manifest's effective_seed and stage_seeds are derived, so skipped
+        assert run(["synthesize", "--config", first / "run_manifest.json", "--out", again]) == 0
+        for name in ("released.csv", "risk.json", "eval_nb.json"):
+            assert (again / name).read_bytes() == (first / name).read_bytes(), name
+        manifest, rerun = (json.loads((run_dir / "run_manifest.json").read_text())
+                           for run_dir in (first, again))
+        assert rerun == {**manifest, "out_dir": str(again)}
 
     def test_stage_failure_is_runtime_error(self, workspace, tmp_path):
         # label 99 is absent: the oversampling stage fails at runtime
@@ -229,9 +254,70 @@ def test_bins_without_qi_columns_reach_the_pipeline_config(workspace, command):
     argv = [command, "--input", str(workspace / "data.csv"),
             "--schema", str(workspace / "schema.json"), "--minority-label", "12"]
     schema = Schema.load(workspace / "schema.json")
-    assert _pipeline_config(build_parser().parse_args(argv)).qi is None
-    cfg = _pipeline_config(build_parser().parse_args(argv + ["--bins", "3"]))
+    assert _pipeline_config(_settings(build_parser().parse_args(argv))).qi is None
+    cfg = _pipeline_config(_settings(build_parser().parse_args(argv + ["--bins", "3"])))
     assert cfg.qi == QuasiIdentifierSpec.all_numeric(schema, 3)
+
+
+class _Handed(Exception):
+    """Raised in place of running the pipeline; its args are what it was handed."""
+
+
+def _samples(workspace, tmp_path):
+    """For every flag that sets a pipeline or grid setting: its text on the
+    command line, then the same setting as a config file holds it."""
+    schema = tmp_path / "copy-of-schema.json"
+    schema.write_bytes((workspace / "schema.json").read_bytes())
+    return {
+        "--input": ("elsewhere.csv", "elsewhere.csv"),
+        "--schema": (str(schema), str(schema)),
+        "--out": ("elsewhere", "elsewhere"),
+        "--seed": ("7", 7),
+        "--minority-label": ("7", 7),
+        "--smote-amount": ("370", 370),
+        "--neighbors": ("3", 3),
+        "--noise": ("0.6", 0.6),
+        "--noise-model": ("full_covariance", "full_covariance"),
+        "--qi-columns": ("acc_chest_x,acc_chest_y", ["acc_chest_x", "acc_chest_y"]),
+        "--bins": ("4", 4),
+        "--k": ("3", 3),
+        "--classifiers": ("nb,dt", ["nb", "dt"]),
+        "--test-fraction": ("0.25", 0.25),
+        "--noise-levels": ("0.1,0.6", [0.1, 0.6]),
+        "--smote-amounts": ("130,500", [130, 500]),
+        "--k-values": ("2,3", [2, 3]),
+    }
+
+
+@pytest.mark.parametrize("command", ["synthesize", "sweep"])
+def test_flag_and_config_key_hand_the_pipeline_the_same_run(
+    workspace, tmp_path, monkeypatch, command
+):
+    def hand(*args):
+        raise _Handed(*args)
+
+    monkeypatch.setattr(cli, "run_pipeline", hand)
+    monkeypatch.setattr(cli, "run_sweep", hand)
+
+    def handed(config, *flags):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        with pytest.raises(_Handed) as info:
+            run([command, "--config", path, *flags])
+        return info.value.args  # (config,) for synthesize, (config, grid) for sweep
+
+    base = {"input": str(workspace / "data.csv"), "schema": str(workspace / "schema.json"),
+            "minority_label": 12}
+    samples = _samples(workspace, tmp_path)
+    keyed = [name for name in _COMMANDS[command].flags if _FLAGS[name].key]
+    assert set(keyed) <= set(samples), set(keyed) - set(samples)
+    for name in keyed:
+        text, value = samples[name]
+        key = _FLAGS[name].key
+        via_flag = {k: v for k, v in base.items() if k != key[0]}
+        via_file = {**base, key[0]: {key[1]: value} if len(key) == 2 else value}
+        assert handed(via_flag, name, text) == handed(via_file), name
+        assert handed(via_file) != handed(base), name  # the sample changes the run
 
 
 class TestErrorPolicy:
@@ -262,9 +348,17 @@ class TestErrorPolicy:
         {"bins": "many", "qi_columns": ["acc_chest_x"]},
         {"qi_columns": 5},
         [1, 2],
+        {"nosie": {"level": 0.3}},
+        {"smote": {"neighbours": 3}},
+        {"classifier": ["nb"]},
+        {"noise": {"seed": 4}},
+        {"noise_levels": [0.3, 0.3]},
+        {"noise_levels": [0.1, 0.1000001]},
     ], ids=["k-not-int", "flagged-section-not-object", "section-not-object",
             "level-not-float", "qi-without-columns", "grid-value-not-float", "bins-not-int",
-            "qi-columns-not-list", "top-level-list"])
+            "qi-columns-not-list", "top-level-list", "unknown-key", "unknown-smote-key",
+            "classifier-not-classifiers", "stage-seed", "repeated-noise-level",
+            "noise-levels-sharing-a-directory"])
     def test_malformed_config_exits_validation(self, workspace, tmp_path, config):
         if isinstance(config, dict):
             config = {
@@ -289,10 +383,26 @@ class TestParser:
         subparsers = build_parser()._subparsers._group_actions[0].choices
         for name, sub in subparsers.items():
             dests = {a.dest for a in sub._actions} - {"help", "config"}
-            assert dests <= set(_FLAG_KEYS), (name, dests - set(_FLAG_KEYS))
+            keyed = {flag[2:].replace("-", "_") for flag, spec in _FLAGS.items() if spec.key}
+            assert dests <= keyed, (name, dests - keyed)
 
     def test_unknown_subcommand_exits_validation(self):
         assert run(["frobnicate"]) == 1
 
     def test_unknown_flag_exits_validation(self, workspace):
         assert run(["audit", "--nope"]) == 1
+
+    def test_unknown_noise_model_exits_validation(self, workspace, tmp_path):
+        # NoiseConfig, not argparse, is the one check of the model name
+        assert run(["synthesize", "--input", workspace / "data.csv",
+                    "--schema", workspace / "schema.json", "--minority-label", "12",
+                    "--noise-model", "bogus", "--out", tmp_path / "o"]) == 1
+
+    def test_readme_commands_parse(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        shell = "\n".join(re.findall(r"```bash\n(.*?)```", readme, re.S)).replace("\\\n", " ")
+        commands = [shlex.split(line, comments=True) for line in shell.splitlines()
+                    if line.startswith("privsynth ")]
+        assert commands
+        for argv in commands:
+            build_parser().parse_args(argv[1:])

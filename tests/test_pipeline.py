@@ -212,6 +212,21 @@ class TestRunSweep:
         assert loaded == report
 
 
+class TestSweepGrid:
+    @pytest.mark.parametrize("levels, shared", [
+        ((0.3, 0.3), "g0.3_E100_k2"),
+        ((0.1, 0.1000001), "g0.1_E100_k2"),
+    ], ids=["repeated", "alike-to-six-digits"])
+    def test_points_sharing_an_output_directory_rejected(self, levels, shared):
+        # the second point would overwrite the first one's released.csv and risk.json
+        with pytest.raises(ConfigInvalid, match=shared):
+            SweepGrid(levels, (100,), (2,))
+
+    def test_distinct_points_accepted(self):
+        grid = SweepGrid((0.1, 0.100001), (100, 200), (2, 3))
+        assert len({point_dir_name(*point) for point in grid.points()}) == len(grid) == 8
+
+
 @pytest.fixture(scope="module")
 def sweep_report(small_table, tmp_path_factory):
     cfg = config(small_table, tmp_path_factory.mktemp("emit"), classifiers=("nb", "dt"))
@@ -286,6 +301,18 @@ class TestConfigSerialization:
                 {"input": "in.csv", "schema": "schema.json", "minority_label": 12}
             ) == cfg
         assert PipelineConfig.from_dict(cfg.to_dict()) == cfg
+
+    @pytest.mark.parametrize("extra, named", [
+        ({"nosie": {"level": 0.3}}, "nosie"),
+        ({"classifier": ["nb"]}, "classifier"),
+        ({"smote": {"neighbours": 3}}, "neighbours"),
+        ({"smote": {"seed": 4}}, "seed"),
+        ({"noise": {"seed": 4}}, "seed"),
+    ], ids=["top-level", "singular", "smote", "smote-seed", "noise-seed"])
+    def test_unknown_key_rejected(self, extra, named):
+        payload = {"input": "in.csv", "schema": "schema.json", "minority_label": 12, **extra}
+        with pytest.raises(ConfigInvalid, match=named):
+            PipelineConfig.from_dict(payload)
 
     def test_validation(self, small_table, tmp_path):
         with pytest.raises(ConfigInvalid):
