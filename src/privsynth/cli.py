@@ -264,16 +264,17 @@ class _Command(NamedTuple):
     flags: tuple[str, ...]  # keys of _FLAGS, in --help order
 
 
-_IO = ("--input", "--schema", "--out", "--seed")
-_PIPELINE = (*_IO, "--config", "--minority-label", "--smote-amount", "--neighbors", "--noise",
-             "--noise-model", "--qi-columns", "--bins", "--k", "--classifiers", "--test-fraction")
+_IO = ("--input", "--schema", "--out")  # audit draws nothing at random: no --seed
+_PIPELINE = (*_IO, "--seed", "--config", "--minority-label", "--smote-amount", "--neighbors",
+             "--noise", "--noise-model", "--qi-columns", "--bins", "--k", "--classifiers",
+             "--test-fraction")
 
 _COMMANDS = {
     "synthesize": _Command(_cmd_synthesize, "run the full release pipeline", _PIPELINE),
     "audit": _Command(_cmd_audit, "k-anonymity audit of an existing CSV",
                       (*_IO, "--qi-columns", "--bins", "--k")),
     "evaluate": _Command(_cmd_evaluate, "classifier evaluation on provided train/test CSVs",
-                         (*_IO, "--test", "--classifiers")),
+                         (*_IO, "--seed", "--test", "--classifiers")),
     "sweep": _Command(_cmd_sweep, "run the pipeline over a parameter grid",
                       (*_PIPELINE, "--noise-levels", "--smote-amounts", "--k-values")),
     "plotdata": _Command(_cmd_plotdata, "per-figure CSV tables from a sweep report",

@@ -67,10 +67,6 @@ class TooFewRecords(ValidationError):
     pass
 
 
-class FactorizationFailure(PrivsynthError):
-    pass
-
-
 # anonymity audit
 
 class UnknownColumn(ValidationError):

@@ -1,8 +1,8 @@
 """Gaussian perturbation of numeric tables.
 
-Covers covariance estimation, zero-mean noise sampling through a symmetric
-factorization, and the additive release step ``output = input + noise``. Two
-noise shapes are supported:
+Covers covariance estimation, zero-mean noise sampling through the symmetric
+factor each :class:`GaussianModel` holds, and the additive release step
+``output = input + noise``. Two noise shapes are supported:
 
 - ``diagonal_scaled`` (default): each attribute gets independent noise with
   standard deviation ``g * sigma_a``, where ``sigma_a`` is that attribute's
@@ -16,18 +16,20 @@ Labels are never touched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigInvalid, FactorizationFailure, TooFewRecords, ValidationError
+from .errors import ConfigInvalid, TooFewRecords, ValidationError
 
 DIAGONAL_SCALED = "diagonal_scaled"
 FULL_COVARIANCE = "full_covariance"
 
-# eigenvalues above this (negative) floor are treated as numerical zeros
-_PSD_TOL = -1e-10
+# an eigenvalue down to -_PSD_TOL times the matrix's scale (its largest
+# eigenvalue magnitude, at least 1) is a rounding zero: eigh's backward error is
+# about d * eps relative, and an n-row covariance estimate's about n * eps
+_PSD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -47,23 +49,29 @@ class NoiseConfig:
 
 @dataclass(frozen=True)
 class GaussianModel:
-    """Mean vector and symmetric positive semi-definite covariance."""
+    """Mean vector and symmetric PSD covariance, as read-only copies, with the
+    read-only factor ``A`` (``A A^T = covariance``) that every noise draw uses.
+    The one PSD check, relative to the covariance's scale, is made here."""
 
     mean: np.ndarray
     covariance: np.ndarray
+    factor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64)
-        cov = np.asarray(self.covariance, dtype=np.float64)
+        mean = np.array(self.mean, dtype=np.float64)
+        cov = np.array(self.covariance, dtype=np.float64)
         if mean.ndim != 1 or cov.shape != (mean.size, mean.size):
             raise ValidationError("mean must be length d and covariance d x d")
         if not np.allclose(cov, cov.T, atol=1e-12, rtol=0.0):
             raise ValidationError("covariance must be symmetric within 1e-12")
-        eigs = np.linalg.eigvalsh(cov)
-        if eigs.size and eigs.min() < _PSD_TOL:
-            raise ValidationError(f"covariance not PSD: min eigenvalue {eigs.min():.3e}")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance", cov)
+        eigvals, eigvecs = np.linalg.eigh(cov)
+        lowest = eigvals.min(initial=0.0)
+        if lowest < -_PSD_TOL * max(1.0, np.abs(eigvals).max(initial=0.0)):
+            raise ValidationError(f"covariance not PSD: min eigenvalue {lowest:.3e}")
+        factor = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
+        for name, value in (("mean", mean), ("covariance", cov), ("factor", factor)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -87,28 +95,18 @@ def estimate_covariance(data: Dataset) -> GaussianModel:
     return GaussianModel(mean, cov)
 
 
-def _psd_factor(cov: np.ndarray) -> np.ndarray:
-    """Symmetric factor A with A A^T = cov, tolerating tiny negative eigenvalues."""
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    if eigvals.size and eigvals.min() < _PSD_TOL:
-        raise FactorizationFailure(f"matrix is not PSD: min eigenvalue {eigvals.min():.3e}")
-    eigvals = np.clip(eigvals, 0.0, None)
-    return eigvecs * np.sqrt(eigvals)
-
-
 def sample_noise(model: GaussianModel, count: int, seed: int) -> np.ndarray:
     """Draw ``count`` zero-mean Gaussian vectors with the model's covariance.
 
     The model's mean field is ignored: noise is centred by definition.
-    Standard normal deviates are pushed through a symmetric factorization of
-    the covariance, so any PSD matrix (including rank-deficient ones) works.
+    Standard normal deviates are pushed through the model's symmetric factor,
+    so any covariance the model accepted works, rank-deficient ones included.
     """
     if count < 0:
         raise ConfigInvalid("count must be non-negative")
-    factor = _psd_factor(model.covariance)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((count, model.dim))
-    return z @ factor.T
+    return z @ model.factor.T
 
 
 def perturb(data: Dataset, cfg: NoiseConfig) -> Dataset:
@@ -129,10 +127,6 @@ def perturb(data: Dataset, cfg: NoiseConfig) -> Dataset:
         rng = np.random.default_rng(cfg.seed)
         noise = rng.standard_normal(feats.shape) * scale
     else:
-        model = estimate_covariance(data)
-        noise = sample_noise(
-            GaussianModel(np.zeros(model.dim), (cfg.level ** 2) * model.covariance),
-            len(data),
-            cfg.seed,
-        )
+        cov = (cfg.level ** 2) * estimate_covariance(data).covariance
+        noise = sample_noise(GaussianModel(np.zeros(len(cov)), cov), len(data), cfg.seed)
     return Dataset(data.schema, feats + noise, data.labels)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, fields, replace
@@ -41,11 +42,29 @@ from .metrics import EvalReport, evaluate
 from .noise import NoiseConfig, perturb
 from .smote import SmoteConfig, run_smote
 
+
+def _number(kind: type, accepted: type):
+    """The cast of a ``kind`` setting: an ``accepted`` number or the text of a
+    ``kind``, never a bool; anything else raises :class:`ConfigInvalid`."""
+    def cast(value):
+        try:
+            if isinstance(value, (accepted, str)) and not isinstance(value, bool):
+                return kind(value)
+        except (ValueError, OverflowError):
+            pass
+        raise ConfigInvalid(f"expected {kind.__name__}, got {value!r}")
+    return cast
+
+
+_as_int = _number(int, numbers.Integral)
+_as_float = _number(float, numbers.Real)
+
 # config key -> the type its value is read as; a key left out takes the
 # default of its dataclass field
-_CASTS = {"k": int, "classifiers": tuple, "test_fraction": float, "seed": int, "out_dir": str}
-_SMOTE_CASTS = {"amount_percent": int, "neighbors": int, "minkowski_q": float}
-_NOISE_CASTS = {"level": float, "model": str}
+_CASTS = {"k": _as_int, "classifiers": tuple, "test_fraction": _as_float, "seed": _as_int,
+          "out_dir": str}
+_SMOTE_CASTS = {"amount_percent": _as_int, "neighbors": _as_int, "minkowski_q": _as_float}
+_NOISE_CASTS = {"level": _as_float, "model": str}
 # what run_manifest.json adds to the config, derived from ``seed``; a manifest
 # read back as a config skips them
 _DERIVED_KEYS = ("effective_seed", "stage_seeds")
@@ -142,10 +161,10 @@ class SweepGrid:
 
     def __post_init__(self):
         try:
-            object.__setattr__(self, "noise_levels", tuple(map(float, self.noise_levels)))
-            object.__setattr__(self, "smote_amounts", tuple(map(int, self.smote_amounts)))
-            object.__setattr__(self, "k_values", tuple(map(int, self.k_values)))
-        except (TypeError, ValueError) as exc:
+            object.__setattr__(self, "noise_levels", tuple(map(_as_float, self.noise_levels)))
+            object.__setattr__(self, "smote_amounts", tuple(map(_as_int, self.smote_amounts)))
+            object.__setattr__(self, "k_values", tuple(map(_as_int, self.k_values)))
+        except TypeError as exc:
             raise ConfigInvalid(f"grid axes must be lists of numbers: {exc}") from None
         if not (self.noise_levels and self.smote_amounts and self.k_values):
             raise ConfigInvalid("grid axes must be non-empty")
@@ -188,11 +207,10 @@ class SweepRow:
     error: str | None = None
 
 
-_CSV_FIELDS = (
-    "noise_level", "smote_amount", "k", "classifier", "status", "accuracy",
-    "macro_precision", "macro_recall", "macro_f_measure", "risk",
-    "satisfies_k_anonymity",
-)
+_CSV_FIELDS = tuple(f.name for f in fields(SweepRow) if f.name not in ("wall_seconds", "error"))
+# the two plot table families, by file name pattern and header
+_PLOT_TABLES = (("accuracy_vs_noise_E{}_k{}.csv", ("g", "classifier", "accuracy")),
+                ("risk_vs_smote_g{:g}_k{}.csv", ("smote_percent", "risk")))
 
 
 @dataclass(frozen=True)
@@ -269,9 +287,10 @@ def run_stages(
         "perturb", perturb, merged, replace(cfg.noise, seed=derive_seed(seed, "noise"))
     )
 
-    # leakage guard: no test record may appear in the release unless the same
-    # values also exist in train (duplicate rows can straddle the split)
-    leaked = (_row_keys(test) & _row_keys(released)) - _row_keys(train)
+    # leakage guard: no test record may enter the table that is perturbed
+    # unless the same values also exist in train (duplicate rows can straddle
+    # the split); perturb never sees test, so a copy can only enter before it
+    leaked = (_row_keys(test) & _row_keys(merged)) - _row_keys(train)
     if leaked:
         raise StageError("perturb", ConfigInvalid("test records leaked into the release"))
 
@@ -388,36 +407,25 @@ def emit_plot_data(report: SweepReport, out_dir) -> list[Path]:
     rows = [r for r in report.rows if r.status == "ok"]
     if not rows:
         raise ConfigInvalid("report holds no successful rows")
+    tables: dict[tuple, dict] = {}  # (family, axis value, k) -> {sort key: CSV line}
+    for i, r in enumerate(rows):  # i keeps report order among equal keys
+        tables.setdefault((0, r.smote_amount, r.k), {})[r.noise_level, r.classifier, i] = [
+            repr(r.noise_level), r.classifier, repr(r.accuracy)]
+        # risk is the same for every classifier of a point: the first row's stands
+        tables.setdefault((1, r.noise_level, r.k), {}).setdefault(
+            r.smote_amount, [r.smote_amount, repr(r.risk)])
     out = Path(out_dir)
     written: list[Path] = []
     try:
         out.mkdir(parents=True, exist_ok=True)
-
-        for amount in sorted({r.smote_amount for r in rows}):
-            for k in sorted({r.k for r in rows if r.smote_amount == amount}):
-                path = out / f"accuracy_vs_noise_E{amount}_k{k}.csv"
-                with path.open("w", newline="", encoding="utf-8") as fh:
-                    writer = csv.writer(fh)
-                    writer.writerow(["g", "classifier", "accuracy"])
-                    subset = [r for r in rows if r.smote_amount == amount and r.k == k]
-                    for r in sorted(subset, key=lambda r: (r.noise_level, r.classifier)):
-                        writer.writerow([repr(r.noise_level), r.classifier, repr(r.accuracy)])
-                written.append(path)
-
-        for g in sorted({r.noise_level for r in rows}):
-            for k in sorted({r.k for r in rows if r.noise_level == g}):
-                path = out / f"risk_vs_smote_g{g:g}_k{k}.csv"
-                with path.open("w", newline="", encoding="utf-8") as fh:
-                    writer = csv.writer(fh)
-                    writer.writerow(["smote_percent", "risk"])
-                    seen = set()
-                    subset = [r for r in rows if r.noise_level == g and r.k == k]
-                    for r in sorted(subset, key=lambda r: r.smote_amount):
-                        if r.smote_amount in seen:
-                            continue  # risk is identical across classifiers
-                        seen.add(r.smote_amount)
-                        writer.writerow([r.smote_amount, repr(r.risk)])
-                written.append(path)
+        for (family, value, k), lines in sorted(tables.items()):
+            name, header = _PLOT_TABLES[family]
+            path = out / name.format(value, k)
+            with path.open("w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                writer.writerows(line for _, line in sorted(lines.items()))
+            written.append(path)
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
     return written

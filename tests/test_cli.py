@@ -184,6 +184,11 @@ class TestAudit:
                 "--schema", workspace / "schema.json",
             ])
 
+    def test_seed_flag_is_a_usage_error(self, workspace):
+        # the audit draws nothing at random, so it takes no --seed
+        assert run(["audit", "--input", workspace / "data.csv",
+                    "--schema", workspace / "schema.json", "--seed", "1"]) == 1
+
     def test_unknown_qi_column(self, workspace):
         code = run([
             "audit",
@@ -354,11 +359,17 @@ class TestErrorPolicy:
         {"noise": {"seed": 4}},
         {"noise_levels": [0.3, 0.3]},
         {"noise_levels": [0.1, 0.1000001]},
+        {"smote": {"amount_percent": 130.5}},
+        {"k": True},
+        {"seed": 1.9},
+        {"smote_amounts": [130.5]},
+        {"noise_levels": [True]},
     ], ids=["k-not-int", "flagged-section-not-object", "section-not-object",
             "level-not-float", "qi-without-columns", "grid-value-not-float", "bins-not-int",
             "qi-columns-not-list", "top-level-list", "unknown-key", "unknown-smote-key",
             "classifier-not-classifiers", "stage-seed", "repeated-noise-level",
-            "noise-levels-sharing-a-directory"])
+            "noise-levels-sharing-a-directory", "fractional-amount", "boolean-k",
+            "fractional-seed", "fractional-grid-amount", "boolean-grid-level"])
     def test_malformed_config_exits_validation(self, workspace, tmp_path, config):
         if isinstance(config, dict):
             config = {

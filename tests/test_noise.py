@@ -5,16 +5,10 @@ import pytest
 from scipy.special import ndtr
 
 from privsynth.data import Dataset, Schema
-from privsynth.errors import (
-    ConfigInvalid,
-    FactorizationFailure,
-    TooFewRecords,
-    ValidationError,
-)
+from privsynth.errors import ConfigInvalid, TooFewRecords, ValidationError
 from privsynth.noise import (
     GaussianModel,
     NoiseConfig,
-    _psd_factor,
     estimate_covariance,
     perturb,
     sample_noise,
@@ -71,6 +65,12 @@ class TestGaussianModel:
         with pytest.raises(ValidationError):
             GaussianModel(np.zeros(2), np.array([[1.0, 0.0], [0.0, -0.5]]))
 
+    def test_psd_tolerance_scales_with_the_covariance(self):
+        # at scale 1e12 the floor is -100: -10 is rounding, -1e3 a real direction
+        GaussianModel(np.zeros(2), np.diag([1e12, -10.0]))
+        with pytest.raises(ValidationError):
+            GaussianModel(np.zeros(2), np.diag([1e12, -1e3]))
+
 
 class TestSampleNoise:
     def test_zero_covariance_gives_zeros(self):
@@ -104,8 +104,8 @@ class TestSampleNoise:
         singular = np.array([[1.0, 1.0], [1.0, 1.0]])
         out = sample_noise(GaussianModel(np.zeros(2), singular), 100, seed=2)
         assert np.allclose(out[:, 0], out[:, 1], atol=1e-12)
-        with pytest.raises(FactorizationFailure):
-            _psd_factor(np.array([[1.0, 0.0], [0.0, -1e-6]]))
+        with pytest.raises(ValidationError):
+            GaussianModel(np.zeros(2), np.array([[1.0, 0.0], [0.0, -1e-6]]))
 
 
 class TestPerturb:
@@ -179,6 +179,29 @@ class TestPerturb:
         observed = noise.T @ noise / len(noise)
         expected = 0.25 * estimate_covariance(data).covariance
         assert np.allclose(observed, expected, atol=0.05)
+
+    @pytest.mark.parametrize("spread", [1e3, 1e4])
+    def test_duplicated_channels_full_covariance(self, spread):
+        # a channel logged twice (or rescaled) makes K singular, and the
+        # rounding in its zero eigenvalues grows with the scale of K
+        rng = np.random.default_rng(0)
+        for _ in range(5):
+            x = rng.normal(8.0 * spread, spread, 400)
+            t, h, z = rng.normal(20, 5, 400), rng.normal(50, 10, 400), rng.normal(size=400)
+            for feats in (np.column_stack([x, x, t, h]), np.column_stack([x, 2 * x, x / 3, z])):
+                data = table(feats)
+                out = perturb(data, NoiseConfig(level=0.3, model="full_covariance", seed=1))
+                # the copies get the same noise, up to the square root of a
+                # rounding-size eigenvalue
+                noise = out.features - feats
+                assert np.allclose(noise[:, 1], noise[:, 0] * feats[0, 1] / feats[0, 0],
+                                   rtol=0, atol=1e-6 * spread)
+                model = estimate_covariance(data)
+                scale = np.abs(model.covariance).max()
+                assert np.allclose(model.factor @ model.factor.T, model.covariance,
+                                   rtol=0, atol=1e-12 * scale)
+                for array in (model.mean, model.covariance, model.factor):
+                    assert not array.flags.writeable
 
     def test_deterministic(self):
         data = table(np.random.default_rng(20).normal(size=(30, 2)))

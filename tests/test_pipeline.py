@@ -139,10 +139,11 @@ class TestRunPipeline:
                            np.append(merged.labels, test.labels[i]))
 
         monkeypatch.setattr(pipeline, "run_smote", leaky)
-        cfg = config(small_table, tmp_path / "leak", noise=NoiseConfig(level=0.0))
-        with pytest.raises(StageError) as info:
-            run_pipeline(cfg)
-        assert info.value.stage == "perturb"
+        for level in (0.0, 0.3):  # noise on the copy must not hide it
+            cfg = config(small_table, tmp_path / "leak", noise=NoiseConfig(level=level))
+            with pytest.raises(StageError) as info:
+                run_pipeline(cfg)
+            assert info.value.stage == "perturb"
 
 
 class TestRunSweep:
