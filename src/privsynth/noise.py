@@ -34,15 +34,15 @@ _PSD_TOL = 1e-10
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    """Perturbation parameters: level g >= 0, noise model, seed."""
+    """Perturbation parameters: finite level g >= 0, noise model, seed."""
 
     level: float = 0.0
     model: str = DIAGONAL_SCALED
     seed: int = 0
 
     def __post_init__(self):
-        if self.level < 0:
-            raise ConfigInvalid(f"noise level must be >= 0, got {self.level}")
+        if not np.isfinite(self.level) or self.level < 0:
+            raise ConfigInvalid(f"noise level must be finite and >= 0, got {self.level}")
         if self.model not in (DIAGONAL_SCALED, FULL_COVARIANCE):
             raise ConfigInvalid(f"unknown noise model {self.model!r}")
 

@@ -95,8 +95,10 @@ def minkowski_distance(a, b, q: float = 2.0) -> float:
 def nearest_neighbors(minority: Dataset, s: int, q: float = 2.0) -> NeighborTable:
     """Exact s-nearest-neighbour table over a single-class dataset.
 
-    Uses a plain linear scan (O(M^2 d) work), which keeps the result exact
-    and deterministic: ties are broken by the lower record index.
+    Uses ``distance.nearest`` with the query record excluded: exact and
+    deterministic, ties broken by the lower record index. At q = 2 one GEMM
+    per block proposes candidates and only they are recomputed exactly; rows
+    the rounding bound cannot certify get the exact O(M d) scan.
 
     Raises:
         NotEnoughRecords: fewer than s + 1 records.

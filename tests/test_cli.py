@@ -409,6 +409,14 @@ class TestParser:
                     "--schema", workspace / "schema.json", "--minority-label", "12",
                     "--noise-model", "bogus", "--out", tmp_path / "o"]) == 1
 
+    @pytest.mark.parametrize("level", ["nan", "inf"])
+    def test_non_finite_noise_exits_validation(self, workspace, tmp_path, level):
+        # float() accepts both spellings; NoiseConfig rejects them before any stage runs
+        assert run(["synthesize", "--input", workspace / "data.csv",
+                    "--schema", workspace / "schema.json", "--minority-label", "12",
+                    "--noise", level, "--out", tmp_path / "o"]) == 1
+        assert not (tmp_path / "o").exists()
+
     def test_readme_commands_parse(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
         shell = "\n".join(re.findall(r"```bash\n(.*?)```", readme, re.S)).replace("\\\n", " ")

@@ -212,3 +212,9 @@ class TestPerturb:
     def test_negative_level_rejected(self):
         with pytest.raises(ConfigInvalid):
             NoiseConfig(level=-0.1)
+
+    @pytest.mark.parametrize("level", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_level_rejected(self, level):
+        # NaN < 0 is False, so a sign check alone lets NaN through
+        with pytest.raises(ConfigInvalid):
+            NoiseConfig(level=level)
