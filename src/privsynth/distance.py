@@ -8,7 +8,7 @@ point) pair, the absolute differences are raised to q, summed with
 stable sort of all distances orders them: by distance, NaN last, equal
 distances by the lower point index.
 
-For q = 2 the search is certified. One GEMM per block of queries gives
+For q = 2 the search is certified. Per block of queries a GEMM gives
 ``|y|^2 - 2 x.y`` for every point (``|x|^2`` is constant along a row), a
 partition keeps each query's pool of the ``k + 2`` smallest, and only the
 pool is recomputed with the reference arithmetic and ranked. A row is
@@ -16,22 +16,32 @@ accepted only if a rounding bound (``_certified``) proves that every point
 outside the pool is strictly farther than the k-th reference distance;
 every other row falls back to the exact scan of all points, which is also
 the whole search for q != 2. BLAS rounding therefore decides only which
-rows fall back, never an index or a distance. Memory is bounded by a fixed
-number of cells per block, never by n_queries x n_points.
+rows fall back, never an index or a distance. A block holds at most
+``_CELLS`` GEMM values and ``_CELLS`` pool values, in work arrays each
+thread reuses from call to call, so memory is bounded by a fixed number of
+cells, never by n_queries x n_points.
 """
 
 from __future__ import annotations
 
+import math
+import threading
+
 import numpy as np
 
 _SCAN_ROWS = 256  # query rows per block of the exact scan
-_CELLS = 1 << 17  # GEMM values per certified sub-block
-_POOL_CELLS = 1 << 18  # pool attribute values per certified chunk
+_CELLS = 1 << 17  # GEMM values, and pool attribute values, per certified block
 _POOL_EXTRA = 2  # candidates kept beyond k in the certified search
+# multiply-adds per BLAS call. OpenBLAS runs a product this small on one
+# thread; waking its helper threads for the block's product gains little and
+# stalls the call for milliseconds whenever the helper's core is busy
+_GEMM_MACS = 1 << 18
 
 _U = np.finfo(np.float64).eps / 2  # unit roundoff
 _ETA = np.finfo(np.float64).smallest_subnormal
 _SCALE_MAX = np.finfo(np.float64).max / 4  # no intermediate can overflow below this
+
+_WORK = threading.local()  # the certified search's reused work arrays (``_buffer``)
 
 
 def _minkowski(diff, q):
@@ -55,9 +65,6 @@ def _ties(a, v):
 def _topk(dist, k):
     """Columns and values of the k smallest entries of each row of ``dist``,
     exactly as the first k of a stable argsort."""
-    if k == dist.shape[1]:
-        cols = np.argsort(dist, axis=1, kind="stable")
-        return cols, np.take_along_axis(dist, cols, axis=1)
     cols = np.argpartition(dist, k - 1, axis=1)[:, :k]
     vals = np.take_along_axis(dist, cols, axis=1)
     # entries equal to the k-th value can straddle the cut; the stable order
@@ -135,8 +142,8 @@ def nearest(queries, points, k: int, q: float = 2.0, exclude_self: bool = False)
     indices = np.empty((n_q, k), dtype=np.intp)
     distances = np.empty((n_q, k), dtype=np.float64)
     pool = k + _POOL_EXTRA
-    search = _CertifiedSearch(points, k, pool, n_q) if q == 2.0 and pool < n - exclude_self else None
-    step = max(1, _POOL_CELLS // max(1, pool * d)) if search else _SCAN_ROWS
+    search = _CertifiedSearch(points, k, pool) if q == 2.0 and pool < n - exclude_self else None
+    step = max(1, _CELLS // max(n, pool * d)) if search else _SCAN_ROWS
     for start in range(0, n_q, step):
         block = queries[start:start + step]
         own = np.arange(start, start + block.shape[0]) if exclude_self else None
@@ -145,58 +152,63 @@ def nearest(queries, points, k: int, q: float = 2.0, exclude_self: bool = False)
     return indices, distances
 
 
+def _buffer(name, shape, dtype=np.float64):
+    """A work array of ``shape`` that this thread keeps between searches, so a
+    call does not fault in fresh pages for it. Arrays beyond ``_CELLS`` values
+    are not kept. The contents never leave the search that fills them."""
+    size = math.prod(shape)
+    if size > _CELLS:
+        return np.empty(shape, dtype)
+    buf = getattr(_WORK, name, None)
+    if buf is None or buf.size < size:
+        buf = np.empty(_CELLS, dtype)
+        setattr(_WORK, name, buf)
+    return buf[:size].reshape(shape)
+
+
 class _CertifiedSearch:
     """The q = 2 certified search against fixed ``points``. Each call takes a
-    chunk of queries: GEMM sub-blocks of ``rows`` rows pick each query's pool
-    (their values, partitioned copy and mask live in buffers allocated once),
-    then the whole chunk's pools are recomputed, ranked and certified."""
+    block of queries, finds each query's pool with a GEMM (in products of at
+    most ``_GEMM_MACS`` multiply-adds), recomputes, ranks and certifies the
+    pool, and scans the rows that fail."""
 
-    def __init__(self, points, k, pool, n_q):
+    def __init__(self, points, k, pool):
         self.points, self.k, self.pool = points, k, pool
-        self.neg2 = (-2.0 * points).T
+        self.neg2 = np.multiply(points, -2.0, out=_buffer("neg2", points.shape)).T
         self.ny = np.einsum("ij,ij->i", points, points)
         self.ny_max = self.ny.max()
-        n = points.shape[0]
-        self.rows = min(n_q, max(1, _CELLS // n))
-        self.h = np.empty((self.rows, n))
-        self.part = np.empty((self.rows, n))
-        self.mask = np.empty((self.rows, n), dtype=bool)
 
-    def _pool(self, block, own, cand, count, beyond):
-        """Write each row's pool (GEMM value below the (pool+1)-th smallest, in
-        column order) into ``cand``, its size into ``count`` and that cut
-        value, a lower bound on every GEMM value outside the pool, into ``beyond``."""
-        b, n, pool = block.shape[0], self.points.shape[0], self.pool
-        h, part, mask = self.h[:b], self.part[:b], self.mask[:b]
+    def __call__(self, block, own):
+        (b, d), n, pool = block.shape, self.points.shape[0], self.pool
+        h = _buffer("gemm", (b, n))
+        cols = max(1, _GEMM_MACS // (b * d))
         with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the certificate
-            np.matmul(block, self.neg2, out=h)
+            for lo in range(0, n, cols):
+                np.matmul(block, self.neg2[:, lo:lo + cols], out=h[:, lo:lo + cols])
             h += self.ny
         if own is not None:
             h[np.arange(b), own] = np.inf
+        # the pool: GEMM values below each row's (pool+1)-th smallest, which
+        # bounds every value outside it from below
+        part = _buffer("part", (b, n))
         np.copyto(part, h)
         part.partition(pool, axis=1)
-        beyond[:] = part[:, pool]
-        np.less(h, beyond[:, None], out=mask)
+        beyond = part[:, pool].copy()
+        mask = np.less(h, beyond[:, None], out=_buffer("mask", (b, n), bool))
         flat = np.flatnonzero(mask)
-        if flat.size == b * pool:  # no row has a tie at its cut
-            count[:] = pool
-            np.remainder(flat.reshape(b, pool), n, out=cand)
-            return
-        row, col = np.divmod(flat, n)
-        count[:] = np.bincount(row, minlength=b)
-        cand[row, np.arange(row.size) - (np.cumsum(count) - count)[row]] = col
-
-    def __call__(self, block, own):
-        (b, d), pool = block.shape, self.pool
-        cand = np.zeros((b, pool), dtype=np.intp)
-        count = np.empty(b, dtype=np.intp)
-        beyond = np.empty(b)
-        for lo in range(0, b, self.rows):
-            hi = lo + self.rows
-            self._pool(block[lo:hi], None if own is None else own[lo:hi],
-                       cand[lo:hi], count[lo:hi], beyond[lo:hi])
-        ref = _minkowski(block[:, None, :] - self.points[cand], 2.0)
-        ref[np.arange(pool) >= count[:, None]] = np.inf  # empty slots sort last
+        full = flat.size == b * pool  # no row ties at its cut
+        if full:
+            cand = flat.reshape(b, pool) % n
+        else:
+            row, col = np.divmod(flat, n)
+            count = np.bincount(row, minlength=b)
+            cand = np.zeros((b, pool), dtype=np.intp)
+            cand[row, np.arange(row.size) - (np.cumsum(count) - count)[row]] = col
+        diff = np.take(self.points, cand, axis=0, out=_buffer("pool", (b, pool, d)),
+                       mode="clip")
+        ref = _minkowski(np.subtract(block[:, None, :], diff, out=diff), 2.0)
+        if not full:
+            ref[np.arange(pool) >= count[:, None]] = np.inf  # empty slots sort last
         # each row's candidates sit in column order, so a stable sort by
         # distance ranks them by distance, then index
         order = np.argsort(ref, axis=1, kind="stable")[:, :self.k]
@@ -204,8 +216,7 @@ class _CertifiedSearch:
         dist = np.take_along_axis(ref, order, axis=1)
         nx = np.einsum("ij,ij->i", block, block)
         fail = np.flatnonzero(~_certified(nx, self.ny_max, beyond, dist[:, -1], d))
-        for lo in range(0, fail.size, _SCAN_ROWS):
-            sub = fail[lo:lo + _SCAN_ROWS]
-            idx[sub], dist[sub] = _scan(block[sub], self.points, self.k, 2.0,
-                                        None if own is None else own[sub])
+        if fail.size:
+            idx[fail], dist[fail] = _scan(block[fail], self.points, self.k, 2.0,
+                                          None if own is None else own[fail])
         return idx, dist

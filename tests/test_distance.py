@@ -88,6 +88,12 @@ def _nan_queries():
     queries, points = rng.normal(size=(300, 9)), rng.normal(size=(240, 9))
     queries[::17] = np.nan
     queries[5::23, 2] = np.nan
+    return queries, points
+
+
+def _nan_points():
+    # a NaN point makes max|y|^2 NaN, so no row certifies and all are rescanned
+    queries, points = _nan_queries()
     points[7] = np.nan
     return queries, points
 
@@ -95,6 +101,7 @@ def _nan_queries():
 TABLES = {
     "surrogate": _surrogate, "duplicates": _duplicates, "line": _line, "rails": _rails,
     "offsets": _offsets, "overflow": _overflow, "nan-queries": _nan_queries,
+    "nan-points": _nan_points,
 }
 
 
@@ -103,7 +110,6 @@ def blocks(request, monkeypatch):
     # small blocks put block boundaries inside every table
     if request.param == "small-blocks":
         monkeypatch.setattr(distance, "_CELLS", 2000)
-        monkeypatch.setattr(distance, "_POOL_CELLS", 1500)
         monkeypatch.setattr(distance, "_SCAN_ROWS", 37)
     return request.param
 
@@ -171,6 +177,24 @@ def test_certified_rows_need_no_fallback_on_continuous_data(monkeypatch):
     nearest(queries, points, 5)
     nearest(points, points, 5, exclude_self=True)
     assert rejected and sum(rejected) == 0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_only_nan_query_rows_fall_back(monkeypatch):
+    # NaN query rows reach the certificate with a NaN cut and an empty pool and
+    # are rejected there; every finite row certifies
+    rejected = []
+    certified = distance._certified
+
+    def counting(*args):
+        ok = certified(*args)
+        rejected.append(int((~ok).sum()))
+        return ok
+
+    monkeypatch.setattr(distance, "_certified", counting)
+    queries, points = _nan_queries()
+    assert_identical(nearest(queries, points, 5), reference(queries, points, 5))
+    assert sum(rejected) == np.isnan(queries).any(axis=1).sum() > 0
 
 
 def test_memory_does_not_grow_with_queries():
