@@ -18,6 +18,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from .errors import (
     ClassTooSmall,
     CountExceedsClass,
     EmptyFile,
+    MalformedCsv,
     MissingColumn,
     NonNumericCell,
     ValidationError,
@@ -215,78 +217,210 @@ def parse_label(cell: str):
     return value if str(value) == text else text
 
 
+# cells per codec chunk (1365 rows of the 24-column sensor table):
+# load_csv and write_csv hold one chunk of text at a time, never the file
+_CHUNK_CELLS = 1 << 15
+
+
 def load_csv(path, schema: Schema) -> Dataset:
     """Read a UTF-8, comma-delimited CSV whose header matches the schema.
 
     The first row must list the schema's column names in order. Numeric cells
     must parse to finite floats; the first offending cell is reported with its
-    file row (header is row 1) and column name.
+    file row (header is row 1, and a quoted line break does not start a row)
+    and column name.
+
+    The header goes through ``csv.reader``. The data rows are read in chunks
+    of at most ``_CHUNK_CELLS`` cells: while the lines hold no ``"``, a chunk
+    is split at its commas in one pass; from the first chunk with a quote on,
+    ``csv.reader`` splits the rest of the file. Each chunk's numeric cells are
+    converted in one object-to-float64 cast, which calls ``float(cell)``, so
+    values are bit-identical to ``float()``, underscores and padding included.
+    Each distinct label text goes through :func:`parse_label` once. A chunk
+    that fails a check is re-run cell by cell to raise its first offending
+    cell. Transient memory is bounded by the chunk; the result holds the
+    float64 matrix and the labels.
 
     Raises:
         EmptyFile: no header or no data rows.
         MissingColumn: header does not match the schema.
         NonNumericCell: a cell is missing, non-numeric, or non-finite.
+        MalformedCsv: the file is not UTF-8, or ``csv.reader`` rejects a
+            record (a field over ``csv.field_size_limit()``, as when a quote
+            is never closed).
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyFile(f"{path} is empty") from None
-        expected = schema.column_names
-        if header != expected:
-            missing = [c for c in expected if c not in header]
-            offender = missing[0] if missing else next(
-                (h for h, e in zip(header, expected) if h != e), header[len(expected)] if len(header) > len(expected) else expected[-1]
-            )
-            raise MissingColumn(offender, f"header {header!r} does not match schema {expected!r}")
+    expected = schema.column_names
+    label_idx = schema.label_column
+    numeric = np.array([i for i in range(len(expected)) if i != label_idx], dtype=np.intp)
+    parsed: dict = {}  # label text -> parse_label(text)
+    features, labels = [], []
+    row = 2
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            header = next(_records(csv.reader(fh)), None)
+            if header is None:
+                raise EmptyFile(f"{path} is empty")
+            if isinstance(header, csv.Error):
+                raise MalformedCsv(1, str(header))
+            if header != expected:
+                missing = [c for c in expected if c not in header]
+                offender = missing[0] if missing else next(
+                    (h for h, e in zip(header, expected) if h != e), header[len(expected)] if len(header) > len(expected) else expected[-1]
+                )
+                raise MissingColumn(offender, f"header {header!r} does not match schema {expected!r}")
 
-        label_idx = schema.label_column
-        features: list[list[float]] = []
-        labels: list = []
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != len(expected):
-                raise NonNumericCell(row_no, expected[min(len(row), len(expected) - 1)],
-                                     f"row has {len(row)} cells, expected {len(expected)}")
-            vec = []
-            for col_no, cell in enumerate(row):
-                name = expected[col_no]
-                if col_no == label_idx:
-                    if not cell.strip():
-                        raise NonNumericCell(row_no, name, "empty label")
-                    labels.append(parse_label(cell))
-                    continue
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise NonNumericCell(row_no, name, f"cannot parse {cell!r}") from None
-                if not math.isfinite(value):
-                    raise NonNumericCell(row_no, name, f"non-finite value {cell!r}")
-                vec.append(value)
-            features.append(vec)
+            for records, cells in _chunks(fh, len(expected)):
+                chunk = _convert(cells, len(expected), numeric, label_idx, parsed)
+                if chunk is None:
+                    _raise_first_bad_cell(records, row, expected, label_idx)
+                features.append(chunk[0])
+                labels.append(chunk[1])
+                row += len(chunk[0])
+    except UnicodeDecodeError as exc:
+        raise MalformedCsv(None, f"{path} is not UTF-8 ({exc.reason})") from None
 
     if not features:
         raise EmptyFile(f"{path} has a header but no data rows")
-    return Dataset(schema, np.array(features, dtype=np.float64), np.array(labels, dtype=object))
+    feats, labs = np.concatenate(features), np.concatenate(labels)
+    del features, labels  # free the chunks before Dataset copies the matrix
+    return Dataset(schema, feats, labs)
+
+
+def _records(reader):
+    """The records of a ``csv.reader``. A record it rejects comes out as its
+    ``csv.Error``, in its place, and ends the stream."""
+    while True:
+        try:
+            yield next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            yield exc
+            return
+
+
+def _chunks(fh, width: int):
+    """The data rows of ``fh`` as chunks of ``(records, cells)``.
+
+    ``records`` gives the chunk's rows as :func:`_records` does, for the
+    per-cell error path. ``cells`` is their flat list of cells, row after
+    row, or None when a row is not ``width`` cells wide or a field exceeds
+    ``csv.field_size_limit()``.
+
+    The ``newline=""`` file splits lines at CR, LF and CRLF, as
+    ``csv.reader`` does, so a quote-free line is one record and one
+    ``split(",")`` tokenizes the chunk. From the first chunk holding a ``"``,
+    that chunk and the rest of the file go to ``csv.reader``.
+    """
+    size = max(1, _CHUNK_CELLS // width)
+    limit = csv.field_size_limit()
+    while lines := list(islice(fh, size)):
+        stripped = [line.rstrip("\r\n") for line in lines]
+        text = ",".join(stripped)
+        if '"' in text:
+            break
+        # csv.reader gives a blank line no cells, and a quote-free line one
+        # more cell than it has commas
+        cells = None
+        if all(stripped) and set(map(str.count, stripped, repeat(","))) == {width - 1}:
+            cells = text.split(",")
+            if max(map(len, stripped)) > limit and max(map(len, cells)) > limit:
+                cells = None
+        yield _records(csv.reader(lines)), cells
+    else:
+        return
+    records = _records(csv.reader(chain(lines, fh)))
+    while chunk := list(islice(records, size)):
+        whole = not isinstance(chunk[-1], csv.Error) and set(map(len, chunk)) == {width}
+        yield chunk, list(chain.from_iterable(chunk)) if whole else None
+
+
+def _convert(cells, width: int, numeric, label_idx: int, parsed: dict):
+    """One chunk's ``(features, labels)`` from its flat cells, or None when a
+    cell breaks the per-cell rule of :func:`_raise_first_bad_cell`. New label
+    texts are parsed into ``parsed``."""
+    if cells is None:
+        return None
+    table = np.array(cells, dtype=object).reshape(-1, width)
+    try:
+        feats = table[:, numeric].astype(np.float64)  # float(cell), in C
+    except ValueError:
+        return None
+    if not np.isfinite(feats).all():
+        return None
+    texts = table[:, label_idx].tolist()
+    new = set(texts).difference(parsed)
+    if not all(map(str.strip, new)):
+        return None
+    parsed.update(zip(new, map(parse_label, new)))
+    return feats, np.array(list(map(parsed.__getitem__, texts)), dtype=object)
+
+
+def _raise_first_bad_cell(records, row: int, expected: list, label_idx: int):
+    """Raise the first cell of a chunk that breaks the per-cell rule.
+
+    Rows are checked in file order, cells in column order: a row must have
+    one cell per column, a label must not be blank, and a numeric cell must
+    parse with ``float`` to a finite value. ``row`` is the first record's
+    file row.
+    """
+    width = len(expected)
+    for row_no, record in enumerate(records, start=row):
+        if isinstance(record, csv.Error):
+            raise MalformedCsv(row_no, str(record))
+        if len(record) != width:
+            raise NonNumericCell(row_no, expected[min(len(record), width - 1)],
+                                 f"row has {len(record)} cells, expected {width}")
+        for col_no, (name, cell) in enumerate(zip(expected, record)):
+            if col_no == label_idx:
+                if not cell.strip():
+                    raise NonNumericCell(row_no, name, "empty label")
+                continue
+            try:
+                value = float(cell)
+            except ValueError:
+                raise NonNumericCell(row_no, name, f"cannot parse {cell!r}") from None
+            if not math.isfinite(value):
+                raise NonNumericCell(row_no, name, f"non-finite value {cell!r}")
+    raise AssertionError("a chunk failed the bulk check but no cell breaks the per-cell rule")
+
+
+def _quote(text: str, alone: bool) -> str:
+    """A cell as ``csv.writer`` writes it under QUOTE_MINIMAL: quoted when it
+    holds a comma, a quote or a line break, or is empty and its row's only
+    cell."""
+    if any(c in text for c in ',"\r\n') or (alone and not text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def write_csv(data: Dataset, path) -> None:
-    """Write a dataset back to CSV.
+    """Write a dataset back to CSV, byte for byte as ``csv.writer`` would.
 
     Floats are written with ``repr`` so a re-parse reproduces the exact
-    values (round-trip is lossless, not merely close).
+    values (round-trip is lossless, not merely close). Labels are written as
+    ``str(label)``, each distinct text quoted once under ``csv.writer``'s
+    QUOTE_MINIMAL rule; rows end in CRLF. The rows are formatted and
+    written in chunks of at most ``_CHUNK_CELLS`` cells, so no whole-table
+    text or list is held.
     """
     label_idx = data.schema.label_column
+    width = len(data.schema.columns)
+    size = max(1, _CHUNK_CELLS // width)
+    quoted: dict = {}  # str(label) -> its cell text
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(data.schema.column_names)
-        # rows are built one at a time, so no whole-table list is held;
-        # csv writes a Python float as its repr
-        writer.writerows(
-            [*row[:label_idx], str(label), *row[label_idx:]]
-            for row, label in zip(map(np.ndarray.tolist, data.features), data.labels.tolist())
-        )
+        csv.writer(fh).writerow(data.schema.column_names)
+        for start in range(0, len(data), size):
+            texts = list(map(str, data.labels[start:start + size].tolist()))
+            quoted.update((t, _quote(t, width == 1)) for t in set(texts).difference(quoted))
+            lines = []
+            for values, text in zip(data.features[start:start + size].tolist(), texts):
+                cells = list(map(repr, values))
+                cells.insert(label_idx, quoted[text])
+                lines.append(",".join(cells))
+            lines.append("")
+            fh.write("\r\n".join(lines))
 
 
 def stratified_split(data: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

@@ -34,6 +34,16 @@ class EmptyFile(ValidationError):
     pass
 
 
+class MalformedCsv(ValidationError):
+    """The file is not UTF-8, or ``csv.reader`` rejects a record; ``row`` is
+    the record's file row, None where it is not known."""
+
+    def __init__(self, row, detail):
+        self.row = row
+        where = f" at row {row}" if row is not None else ""
+        super().__init__(f"malformed CSV{where}: {detail}")
+
+
 class ClassTooSmall(ValidationError):
     def __init__(self, label, count=None):
         self.label = label

@@ -133,17 +133,22 @@ def generate_synthetic(minority: Dataset, table: NeighborTable, cfg: SmoteConfig
 
     per_record = cfg.amount_percent // 100
     feats = minority.features
-    m, d = feats.shape
-    out = np.empty((m * per_record, d), dtype=np.float64)
-    row = 0
+    m = len(feats)
+    # the draws stay per record and in stream order (a neighbour, then a gap,
+    # per synthetic row); the interpolation is one array expression
+    nn = np.empty(m * per_record, dtype=np.intp)
+    gap = np.empty(m * per_record, dtype=np.float64)
     for j in range(m):
         rng = np.random.default_rng([cfg.seed, j])
-        for _ in range(per_record):
-            nn = int(rng.integers(0, cfg.neighbors))
-            gap = rng.random()
-            base = feats[j]
-            out[row] = base + gap * (feats[table.indices[j, nn]] - base)
-            row += 1
+        for row in range(j * per_record, (j + 1) * per_record):
+            nn[row] = rng.integers(0, cfg.neighbors)
+            gap[row] = rng.random()
+    parent = np.repeat(np.arange(m), per_record)
+    base = feats[parent]
+    out = feats[table.indices[parent, nn]]
+    out -= base
+    out *= gap[:, None]
+    out += base
     label = minority.labels[0] if m else None
     labels = np.array([label] * (m * per_record), dtype=object)
     return Dataset(minority.schema, out, labels)

@@ -338,6 +338,21 @@ class TestErrorPolicy:
         assert run(argv) == 1
         assert "bad cell at row 3, column 'acc_chest_x'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fault", ["unterminated quote", "oversized field", "invalid UTF-8"])
+    def test_malformed_csv_exits_validation(self, workspace, tmp_path, capsys, fault):
+        lines = (workspace / "data.csv").read_bytes().splitlines(keepends=True)
+        body = {
+            "unterminated quote": lines[1].replace(b",", b',"', 1) + b"".join(lines[2:]) * 20,
+            "oversized field": lines[1][:-3] + b"9" * 200_000 + b"\r\n",
+            "invalid UTF-8": lines[1].replace(b",", b",\xff", 1),
+        }[fault]
+        path = tmp_path / "bad.csv"
+        path.write_bytes(lines[0] + body)
+        assert run(["audit", "--input", path, "--schema", workspace / "schema.json"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed CSV")
+        assert ("at row 2" in err) == (fault != "invalid UTF-8")
+
     def test_malformed_schema_exits_validation(self, workspace, tmp_path):
         schema = tmp_path / "schema.json"
         schema.write_text(json.dumps({"cols": []}))

@@ -158,6 +158,23 @@ class TestGenerateSynthetic:
                 assert row[0] == pytest.approx(row[1], abs=1e-12)
                 assert 0.0 <= row[0] < 1.0
 
+    @pytest.mark.parametrize("amount", [100, 500])
+    def test_matches_the_per_row_loop(self, amount):
+        # the reference: one stream per record, one row per (neighbour, gap) draw
+        rng = np.random.default_rng(4)
+        minority = one_class(rng.normal(size=(40, 3)) * [1.0, 1e-3, 1e6])
+        table = nearest_neighbors(minority, s=4)
+        cfg = SmoteConfig(amount, 4, seed=31)
+        rows = []
+        for j, base in enumerate(minority.features):
+            stream = np.random.default_rng([cfg.seed, j])
+            for _ in range(amount // 100):
+                nn = int(stream.integers(0, cfg.neighbors))
+                gap = stream.random()
+                rows.append(base + gap * (minority.features[table.indices[j, nn]] - base))
+        synth = generate_synthetic(minority, table, cfg)
+        assert synth.features.tobytes() == np.array(rows).tobytes()
+
     def test_determinism(self):
         rng = np.random.default_rng(2)
         minority = one_class(rng.normal(size=(10, 2)))
