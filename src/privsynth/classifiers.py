@@ -7,7 +7,9 @@ rule so results are easy to verify by hand:
 - Gaussian naive Bayes,
 - a linear SVM decision rule ``sign(u . z + c)`` with a stochastic
   subgradient trainer for the hinge loss,
-- a CART-style decision tree on Gini impurity.
+- a CART-style decision tree on Gini impurity, grown from one presort of
+  the training data: exact integer Gini scores propose each split and the
+  reference float arithmetic decides among the near-best (``_best_split``).
 
 Every classifier exposes ``fit(train)`` and one batch ``predict(features)``,
 its only decision rule; ``predict`` rejects query rows whose width differs
@@ -285,56 +287,157 @@ class DecisionTreeModel:
     min_leaf: int = 0
 
 
-def _best_split(feats: np.ndarray, codes: np.ndarray, n_classes: int, min_leaf: int):
-    """Best (gain, attribute, threshold) over all axis-aligned splits.
+_U = np.finfo(np.float64).eps / 2  # unit roundoff
 
-    Candidates are midpoints between consecutive distinct sorted values.
-    Every attribute is sorted at once and every candidate scored in one
-    array pass, in two ``(n, d, n_classes)`` float arrays; the first maximum
-    of the gains laid out attribute-major resolves ties to the lower
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u): the relative error of k roundings."""
+    return k * _U / (1 - k * _U)
+
+
+def _q_margin(m: int, n_classes: int) -> float:
+    """How far below the best float Q a split may score and still win on
+    the reference gain (see ``_best_split``)."""
+    return 2 * m * (_gamma(2) + _gamma(n_classes + 8))
+
+
+def _reference_gains(left, n_left, totals, parent):
+    """The reference arithmetic: Gini gains of splits whose left sides hold
+    the class counts ``left`` (one row per split) of a node with class
+    counts ``totals`` and Gini impurity ``parent``."""
+    m = int(totals.sum())
+    n_left = n_left[:, None]
+    n_right = m - n_left
+    share = left / n_left
+    gini_left = 1.0 - np.sum(np.square(share, out=share), axis=-1)
+    np.divide(totals - left, n_right, out=share)
+    gini_right = 1.0 - np.sum(np.square(share, out=share), axis=-1)
+    weighted = (n_left[:, 0] * gini_left + n_right[:, 0] * gini_right) / m
+    return parent - weighted
+
+
+def _best_split(order, feats_t, codes, totals, min_leaf):
+    """Best (gain, attribute, threshold) over all axis-aligned splits of a node.
+
+    ``order[a]`` lists the node's rows by ascending attribute ``a`` (ties by
+    row id); ``feats_t`` is the training data attribute-major and
+    ``totals`` the node's class counts. Candidates are midpoints between
+    consecutive distinct sorted values with at least ``min_leaf`` rows on
+    either side. The result is the first maximum, attribute-major, of the
+    reference gains (``_reference_gains``), so ties go to the lower
     attribute index and then the lower threshold.
+
+    Every candidate is first scored from exact integer counts. With l_c and r_c
+    the class counts left and right of a split, the Gini gain is
+    ``parent - 1 + Q / m`` with Q = sum l_c^2 / n_l + sum r_c^2 / n_r. A
+    row whose class already has k rows before it adds 2k + 1 to
+    L2 = sum l_c^2, and R2 = sum r_c^2 = T2 - 2 sum T_c l_c + L2 with T the
+    node's class counts, so both are running sums over the sorted rows.
+
+    Only candidates whose float Q lies within ``_q_margin`` of the best are
+    scored with the reference arithmetic. The margin is derived as
+    ``distance._certified`` derives its bound (Higham, "Accuracy and
+    Stability of Numerical Algorithms", section 3.1, with unit roundoff u
+    and gamma_k = k u / (1 - k u)):
+
+    - L2 and R2 are exact in float64, so the float Q, two divisions and a
+      sum, is within gamma_2 Q <= gamma_2 m of the exact Q;
+    - a reference share is one division and its square one product; the
+      C-class ``np.sum`` adds C - 1 roundings in any order, pairwise
+      (numpy's unrolled blocks of 8) or not. The sum of squares, at most 1,
+      is within gamma_{C+2} of exact, and ``1 - sum`` adds one rounding:
+      gamma_{C+3};
+    - the weighted mean is two products, a sum and a division of values
+      whose exact total is at most m, so it lies within gamma_{C+6} of
+      1 - Q / m; ``parent - weighted`` adds one rounding: gamma_{C+7};
+    - so if the exact Q of a candidate trails the best candidate's by more
+      than 2 m gamma_{C+7}, its reference gain is strictly lower and it is
+      not the first maximum. Float Q values that trail by more than
+      2 m (gamma_2 + gamma_{C+7}) imply that. The margin uses gamma_{C+8}
+      so that the one rounding of ``best - margin`` is covered too.
+
+    The margin is needed: splits with equal exact Q but different (n_l,
+    n_r) can round apart, so with a margin of 0 the reference winner can be
+    dropped.
     """
-    n, d = feats.shape
-    p = np.bincount(codes, minlength=n_classes) / n
-    parent = 1.0 - np.sum(p * p)
-    order = np.argsort(feats, axis=0, kind="stable")
-    vals = np.take_along_axis(feats, order, axis=0)
-    # cum[i, a] = class counts of the i + 1 lowest rows along attribute a
-    cum = np.zeros((n, d, n_classes))
-    cum[np.arange(n)[:, None], np.arange(d), codes[order]] = 1.0
-    np.cumsum(cum, axis=0, out=cum)
-    counts = cum[:-1]
-    n_left = np.arange(1, n)[:, None]
-    n_right = n - n_left
-    share = np.divide(counts, n_left[:, :, None])
-    gini_left = 1.0 - np.sum(np.square(share, out=share), axis=2)
-    np.subtract(cum[-1], counts, out=counts)  # counts now holds the right sides
-    np.divide(counts, n_right[:, :, None], out=share)
-    gini_right = 1.0 - np.sum(np.square(share, out=share), axis=2)
-    weighted = (n_left * gini_left + n_right * gini_right) / n
-    # zero-gain splits stay eligible: structure like XOR only pays off a
-    # level deeper, and depth / min_leaf / purity bound the growth
-    valid = (vals[:-1] != vals[1:]) & (n_left >= min_leaf) & (n_right >= min_leaf)
-    gains = np.where(valid, parent - weighted, -np.inf).T
-    attr, pos = divmod(int(np.argmax(gains)), n - 1)
-    if gains[attr, pos] == -np.inf:
+    d, m = order.shape
+    n_classes = totals.size
+    classes = codes[order]
+    # the counts below are integers of magnitude under 3 m^2, exact in float64
+    # l2[a, j] starts as how many rows before position j along attribute a
+    # share its class; the stable sort of a small unsigned dtype is a radix sort
+    by_class = np.argsort(classes, axis=1, kind="stable")
+    start = np.cumsum(totals) - totals
+    l2 = np.empty((d, m))
+    l2[np.arange(d)[:, None], by_class] = np.arange(m) - np.repeat(start, totals)
+    l2 *= 2
+    l2 += 1
+    np.cumsum(l2, axis=1, out=l2)
+    r2 = totals.astype(np.float64)[classes]
+    np.cumsum(r2, axis=1, out=r2)
+    r2 *= -2
+    r2 += l2
+    r2 += float(totals @ totals)
+    # a split after position p has n_l = p + 1; keep p with min_leaf rows either side
+    lo, hi = min_leaf - 1, m - min_leaf
+    n_left = np.arange(lo + 1, hi + 1, dtype=np.float64)
+    q = l2[:, lo:hi] / n_left
+    q += np.divide(r2[:, lo:hi], m - n_left, out=r2[:, lo:hi])
+    # flat index of (a, row) in feats_t is a * n + row
+    vals = np.take(feats_t, order + np.arange(0, feats_t.size, feats_t.shape[1])[:, None])
+    q[vals[:, lo:hi] == vals[:, lo + 1:hi + 1]] = -np.inf
+    best = q.max()
+    if best == -np.inf:
         return -np.inf, -1, 0.0
-    return float(gains[attr, pos]), attr, float((vals[pos, attr] + vals[pos + 1, attr]) / 2.0)
+    attrs, pos = np.nonzero(q >= best - _q_margin(m, n_classes))  # attribute-major
+    pos += lo
+    # left class counts of each candidate: along each attribute the positions
+    # of each class are ascending, so one key array laid out attribute, class,
+    # position is sorted and a search per (candidate, class) counts them
+    label = np.arange(n_classes)
+    keys = (np.arange(d)[:, None] * n_classes + np.repeat(label, totals)) * m + by_class
+    probes = (attrs[:, None] * n_classes + label) * m + pos[:, None]
+    left = np.searchsorted(keys.ravel(), probes, side="right")
+    left -= attrs[:, None] * m + start
+    p = totals / m
+    gains = _reference_gains(left, pos + 1, totals, 1.0 - np.sum(p * p))
+    i = int(np.argmax(gains))
+    attr, at = int(attrs[i]), pos[i]
+    return float(gains[i]), attr, float((vals[attr, at] + vals[attr, at + 1]) / 2.0)
 
 
-def _grow(feats, codes, n_classes, depth, max_depth, min_leaf) -> _TreeNode:
-    counts = np.bincount(codes, minlength=n_classes)
-    majority = int(np.argmax(counts))  # tie -> lower class id
-    if depth >= max_depth or counts.max() == len(codes) or len(codes) < 2 * min_leaf:
-        return _TreeNode(prediction=majority)
-    gain, attr, thresh = _best_split(feats, codes, n_classes, min_leaf)
-    if attr < 0 or gain < 0.0:
-        return _TreeNode(prediction=majority)
-    mask = feats[:, attr] <= thresh
-    left = _grow(feats[mask], codes[mask], n_classes, depth + 1, max_depth, min_leaf)
-    right = _grow(feats[~mask], codes[~mask], n_classes, depth + 1, max_depth, min_leaf)
-    return _TreeNode(attribute=attr, threshold=thresh, left=left, right=right,
-                     prediction=majority)
+def _grow(feats, codes, n_classes, max_depth, min_leaf) -> _TreeNode:
+    """The tree, grown depth first from one stable presort of the features.
+
+    Each pending node carries its rows by ascending value of every
+    attribute; a split compresses those lists with its side mask, which
+    keeps rows with equal values in row id order, the order a fresh stable
+    sort of the node would give. A node's lists are dropped once its
+    children's are made, so the pending lists hold each training row at
+    most once per attribute, plus the split being made: O(n d) memory.
+    """
+    feats_t = np.ascontiguousarray(feats.T)
+    goes_left = np.empty(len(codes), dtype=bool)  # scratch, read only at the node's rows
+    root = _TreeNode()
+    pending = [(root, np.argsort(feats_t, axis=1, kind="stable"), 0)]
+    while pending:
+        node, order, depth = pending.pop()
+        rows = order[0]
+        counts = np.bincount(codes[rows], minlength=n_classes)
+        node.prediction = int(np.argmax(counts))  # tie -> lower class id
+        if depth >= max_depth or counts.max() == rows.size or rows.size < 2 * min_leaf:
+            continue
+        gain, attr, thresh = _best_split(order, feats_t, codes, counts, min_leaf)
+        if attr < 0 or gain < 0.0:
+            continue
+        goes_left[rows] = feats_t[attr, rows] <= thresh
+        mask = goes_left[order].ravel()
+        left = np.compress(mask, order).reshape(order.shape[0], -1)
+        right = np.compress(~mask, order).reshape(order.shape[0], -1)
+        node.attribute, node.threshold = attr, thresh
+        node.left, node.right = _TreeNode(), _TreeNode()
+        pending += [(node.right, right, depth + 1), (node.left, left, depth + 1)]
+    return root
 
 
 def dt_train(train: Dataset, max_depth: int = 12, min_leaf: int = 2) -> DecisionTreeModel:
@@ -350,8 +453,9 @@ def dt_train(train: Dataset, max_depth: int = 12, min_leaf: int = 2) -> Decision
         raise ConfigInvalid("max_depth and min_leaf must be >= 1")
     classes = tuple(train.classes())
     lookup = {label: i for i, label in enumerate(classes)}
-    codes = np.array([lookup[l] for l in train.labels.tolist()], dtype=np.intp)
-    root = _grow(train.features, codes, len(classes), 0, max_depth, min_leaf)
+    codes = np.array([lookup[l] for l in train.labels.tolist()],
+                     dtype=np.min_scalar_type(len(classes) - 1))
+    root = _grow(train.features, codes, len(classes), max_depth, min_leaf)
     return DecisionTreeModel(classes, root, max_depth, min_leaf)
 
 

@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from privsynth import classifiers
 from privsynth.classifiers import (
     DecisionTreeClassifier,
     KnnClassifier,
@@ -430,9 +431,48 @@ class TestDecisionTree:
             labels = rng.integers(0, rng.integers(1, 5), size=n).tolist()
             cases += [(table(feats, labels), depth, leaf)
                       for depth, leaf in product((1, 3, 12), (1, 2, 5))]
+        for _ in range(24):
+            # 8-16 classes: the reference's class sum takes numpy's unrolled
+            # pairwise path, and exact Gini ties between unlike splits abound
+            n, d = int(rng.integers(40, 401)), int(rng.integers(1, 5))
+            feats = rng.integers(0, rng.integers(2, 9, size=d), size=(n, d))
+            labels = rng.integers(0, rng.integers(8, 17), size=n).tolist()
+            cases += [(table(feats, labels), 12, leaf) for leaf in (1, 3)]
+        # one decimal: ties across attributes at large nodes
+        rounded = surrogate_release(0.3, 300)
+        cases.append((table(np.round(rounded.features, 1), rounded.labels), 12, 2))
+        # 300 classes do not fit a uint8 class code
+        feats = rng.integers(0, 40, size=(900, 3))
+        cases.append((table(feats, rng.integers(0, 300, size=900).tolist()), 6, 1))
         for i, (train, max_depth, min_leaf) in enumerate(cases):
             model = dt_train(train, max_depth=max_depth, min_leaf=min_leaf)
             assert_same_tree(model.root, reference_tree(train, max_depth, min_leaf), f"case {i}")
+
+    def test_split_margin_covers_rounding(self, monkeypatch):
+        # splits with exactly equal Gini gain, found by search over small
+        # integer nodes: the float Q ranks the split on attribute 1 first,
+        # the reference gain (and so the reference grower) the one on 0
+        feats = np.array([[3, 3, 1, 2, 4, 2, 4, 4, 3, 1, 2, 3, 0, 3, 4, 1],
+                          [2, 3, 3, 4, 2, 4, 5, 2, 3, 0, 2, 4, 4, 3, 5, 2]]).T
+        labels = [9, 8, 7, 6, 1, 3, 7, 3, 5, 4, 5, 1, 8, 5, 1, 6]
+        train = table(feats, labels)
+        ref = reference_tree(train, 1, 1)
+        assert (ref.attribute, ref.threshold) == (0, 3.5)
+        assert_same_tree(dt_train(train, max_depth=1, min_leaf=1).root, ref)
+        monkeypatch.setattr(classifiers, "_q_margin", lambda m, n_classes: 0.0)
+        root = dt_train(train, max_depth=1, min_leaf=1).root
+        assert (root.attribute, root.threshold) == (1, 1.0)
+
+    def test_fit_memory_is_bounded(self):
+        # per-node (n, d, classes) float arrays would take 35x the features
+        train = make_surrogate(6000, seed=3)
+        tracemalloc.start()
+        try:
+            dt_train(train)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * train.features.nbytes
 
     def test_invalid_config(self):
         train = table([[0.0]], ["a"])
