@@ -21,12 +21,8 @@ from .classifiers import (
     KnnClassifier,
     LinearSvmModel,
     NaiveBayesClassifier,
-    NaiveBayesModel,
     SvmClassifier,
-    dt_train,
     make_classifier,
-    nb_train,
-    svm_train,
 )
 from .data import (
     Dataset,
@@ -78,7 +74,6 @@ __all__ = [
     "KnnClassifier",
     "LinearSvmModel",
     "NaiveBayesClassifier",
-    "NaiveBayesModel",
     "NeighborTable",
     "NoiseConfig",
     "PipelineConfig",
@@ -92,7 +87,6 @@ __all__ = [
     "check_k_anonymity",
     "concat_datasets",
     "derive_seed",
-    "dt_train",
     "emit_plot_data",
     "equivalence_classes",
     "estimate_covariance",
@@ -104,7 +98,6 @@ __all__ = [
     "make_classifier",
     "make_surrogate",
     "minkowski_distance",
-    "nb_train",
     "nearest_neighbors",
     "perturb",
     "precision",
@@ -117,7 +110,6 @@ __all__ = [
     "shuffle_class_subset",
     "stratified_split",
     "surrogate_schema",
-    "svm_train",
     "synthetic_count",
     "write_csv",
 ]

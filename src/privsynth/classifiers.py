@@ -11,9 +11,11 @@ rule so results are easy to verify by hand:
   the training data: exact integer Gini scores propose each split and the
   reference float arithmetic decides among the near-best (``_best_split``).
 
-Every classifier exposes ``fit(train)`` and one batch ``predict(features)``,
-its only decision rule; ``predict`` rejects query rows whose width differs
-from the training data's with ``DimensionMismatch``. Deterministic tie rules
+Each model is one class. Its constructor rejects a bad hyperparameter with
+``ConfigInvalid``, ``fit(train)`` trains it in place (the SVM and the tree keep
+a ``model``), and one batch ``predict(features)`` is its only decision rule;
+``predict`` raises ``ValidationError`` before ``fit`` and ``DimensionMismatch``
+on rows whose width differs from the training data's. Deterministic tie rules
 throughout: equal distances prefer the lower record index, equal scores
 prefer the lower class id, equal splits prefer the lower attribute index then
 the lower threshold.
@@ -28,8 +30,8 @@ import numpy as np
 from .data import Dataset, class_mask
 from .distance import nearest
 from .errors import (
+    ClassTooSmall,
     ConfigInvalid,
-    DegenerateClass,
     DimensionMismatch,
     EmptyTrainSet,
     NonBinaryLabels,
@@ -94,83 +96,65 @@ class KnnClassifier:
 # Gaussian naive Bayes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NaiveBayesModel:
-    """Class priors and per-class per-attribute Gaussian parameters."""
-
-    classes: tuple
-    priors: np.ndarray      # (c,)
-    means: np.ndarray       # (c, d)
-    variances: np.ndarray   # (c, d), floored, strictly positive
-
-    def __post_init__(self):
-        if abs(float(self.priors.sum()) - 1.0) > 1e-12:
-            raise ValidationError("priors must sum to 1")
-        if (self.variances <= 0).any():
-            raise ValidationError("variances must be strictly positive")
-
-
-def nb_train(train: Dataset) -> NaiveBayesModel:
-    """Fit Gaussian likelihoods per class and attribute.
-
-    Variances are floored at ``1e-9 * global_variance`` per attribute so a
-    within-class constant attribute cannot produce a singular likelihood;
-    attributes constant across the whole training set get unit variance,
-    which contributes the same term to every class and so never moves the
-    argmax.
-
-    Raises:
-        DegenerateClass: some class has fewer than 2 records.
-    """
-    if len(train) == 0:
-        raise EmptyTrainSet("naive Bayes needs training records")
-    classes = tuple(train.classes())
-    feats = train.features
-    n, d = feats.shape
-    global_var = feats.var(axis=0, ddof=0)
-    floor = np.where(global_var > 0, 1e-9 * global_var, 1.0)
-
-    priors = np.empty(len(classes))
-    means = np.empty((len(classes), d))
-    variances = np.empty((len(classes), d))
-    for i, label in enumerate(classes):
-        mask = class_mask(train.labels, label)
-        count = int(mask.sum())
-        if count < 2:
-            raise DegenerateClass(label, count)
-        sub = feats[mask]
-        priors[i] = count / n
-        means[i] = sub.mean(axis=0)
-        variances[i] = np.maximum(sub.var(axis=0, ddof=0), floor)
-    return NaiveBayesModel(classes, priors, means, variances)
-
-
-def _nb_log_scores(model: NaiveBayesModel, feats: np.ndarray) -> np.ndarray:
-    """(n, c) matrix of log prior + sum of log Gaussian likelihoods."""
-    log_prior = np.log(model.priors)
-    const = -0.5 * np.sum(np.log(2.0 * np.pi * model.variances), axis=1)
-    scores = np.empty((feats.shape[0], len(model.classes)))
-    for i in range(len(model.classes)):
-        quad = np.sum((feats - model.means[i]) ** 2 / (2.0 * model.variances[i]), axis=1)
-        scores[:, i] = log_prior[i] + const[i] - quad
-    return scores
-
-
 class NaiveBayesClassifier:
+    """Gaussian naive Bayes: ``fit`` sets the ``classes``, their ``priors``
+    (c,), and per-class per-attribute ``means`` and ``variances`` (c, d)."""
+
     def __init__(self):
         self.name = "nb"
-        self._model: NaiveBayesModel | None = None
+        self.classes: tuple | None = None
 
     def fit(self, train: Dataset) -> "NaiveBayesClassifier":
-        self._model = nb_train(train)
+        """Fit Gaussian likelihoods per class and attribute.
+
+        Variances are floored at ``1e-9 * global_variance`` per attribute so a
+        within-class constant attribute cannot produce a singular likelihood.
+        Where that floor is 0 (an attribute constant across the whole training
+        set, or spread so little that the product underflows) the variance is
+        1, which contributes the same term to every class up to the attribute's
+        negligible spread and so does not move the argmax.
+
+        Raises:
+            EmptyTrainSet: no training records.
+            ClassTooSmall: some class has fewer than 2 records.
+        """
+        if len(train) == 0:
+            raise EmptyTrainSet("naive Bayes needs training records")
+        classes = tuple(train.classes())
+        feats = train.features
+        n, d = feats.shape
+        global_var = feats.var(axis=0, ddof=0)
+        floor = 1e-9 * global_var
+        floor[floor == 0] = 1.0
+
+        priors = np.empty(len(classes))
+        means = np.empty((len(classes), d))
+        variances = np.empty((len(classes), d))
+        for i, label in enumerate(classes):
+            mask = class_mask(train.labels, label)
+            count = int(mask.sum())
+            if count < 2:
+                raise ClassTooSmall(label, count)
+            sub = feats[mask]
+            priors[i] = count / n
+            means[i] = sub.mean(axis=0)
+            variances[i] = np.maximum(sub.var(axis=0, ddof=0), floor)
+        self.classes, self.priors, self.means, self.variances = classes, priors, means, variances
         return self
 
     def predict(self, features: np.ndarray) -> list:
-        if self._model is None:
+        """The class of greatest log prior + sum of log Gaussian likelihoods."""
+        if self.classes is None:
             raise ValidationError("fit before predict")
-        scores = _nb_log_scores(self._model, _queries(features, self._model.means.shape[1]))
+        feats = _queries(features, self.means.shape[1])
+        log_prior = np.log(self.priors)
+        const = -0.5 * np.sum(np.log(2.0 * np.pi * self.variances), axis=1)
+        scores = np.empty((feats.shape[0], len(self.classes)))
+        for i in range(len(self.classes)):
+            quad = np.sum((feats - self.means[i]) ** 2 / (2.0 * self.variances[i]), axis=1)
+            scores[:, i] = log_prior[i] + const[i] - quad
         picks = np.argmax(scores, axis=1)  # first maximum = lower class id
-        return [self._model.classes[i] for i in picks]
+        return [self.classes[i] for i in picks]
 
 
 # ---------------------------------------------------------------------------
@@ -204,62 +188,63 @@ def _hinge_loss(weights, offset, feats, y) -> float:
     return float(np.mean(np.maximum(0.0, 1.0 - margins)))
 
 
-def svm_train(train: Dataset, epochs: int = 30, reg: float = 1e-3, seed: int = 0) -> LinearSvmModel:
-    """Stochastic subgradient descent on the regularized hinge loss.
-
-    Binary only; the lower class id maps to -1. The returned parameters are
-    the best iterate by training hinge loss, so the result never does worse
-    than the zero model it starts from.
-
-    Raises:
-        NonBinaryLabels: the training data does not have exactly two classes.
-    """
-    if len(train) == 0:
-        raise EmptyTrainSet("svm needs training records")
-    classes = train.classes()
-    if len(classes) != 2:
-        raise NonBinaryLabels(f"expected 2 classes, got {len(classes)}")
-    neg, pos = classes
-    y = np.where(class_mask(train.labels, pos), 1.0, -1.0)
-    feats = train.features
-    n, d = feats.shape
-
-    rng = np.random.default_rng(seed)
-    u = np.zeros(d)
-    c = 0.0
-    best = (np.zeros(d), 0.0, _hinge_loss(np.zeros(d), 0.0, feats, y))
-    t = 0
-    for _ in range(epochs):
-        for i in rng.permutation(n):
-            t += 1
-            eta = 1.0 / (reg * t)
-            if y[i] * (u @ feats[i] + c) < 1.0:
-                u = (1.0 - eta * reg) * u + eta * y[i] * feats[i]
-                c = c + eta * y[i]
-            else:
-                u = (1.0 - eta * reg) * u
-        loss = _hinge_loss(u, c, feats, y)
-        if loss < best[2]:
-            best = (u.copy(), c, loss)
-    return LinearSvmModel(best[0], best[1], negative_label=neg, positive_label=pos)
-
-
 class SvmClassifier:
     def __init__(self, epochs: int = 30, reg: float = 1e-3, seed: int = 0):
+        if epochs < 1:
+            raise ConfigInvalid(f"epochs must be >= 1, got {epochs}")
+        if not 0.0 < reg < np.inf:
+            raise ConfigInvalid(f"reg must be positive and finite, got {reg}")
         self.epochs = epochs
         self.reg = reg
         self.seed = seed
         self.name = "svm"
-        self._model: LinearSvmModel | None = None
+        self.model: LinearSvmModel | None = None
 
     def fit(self, train: Dataset) -> "SvmClassifier":
-        self._model = svm_train(train, self.epochs, self.reg, self.seed)
+        """Stochastic subgradient descent on the regularized hinge loss.
+
+        Binary only; the lower class id maps to -1. The kept parameters are
+        the best iterate by training hinge loss, so the result never does worse
+        than the zero model it starts from.
+
+        Raises:
+            EmptyTrainSet: no training records.
+            NonBinaryLabels: the training data does not have exactly two classes.
+        """
+        if len(train) == 0:
+            raise EmptyTrainSet("svm needs training records")
+        classes = train.classes()
+        if len(classes) != 2:
+            raise NonBinaryLabels(f"expected 2 classes, got {len(classes)}")
+        neg, pos = classes
+        y = np.where(class_mask(train.labels, pos), 1.0, -1.0)
+        feats = train.features
+        n, d = feats.shape
+
+        rng = np.random.default_rng(self.seed)
+        u = np.zeros(d)
+        c = 0.0
+        best = (np.zeros(d), 0.0, _hinge_loss(np.zeros(d), 0.0, feats, y))
+        t = 0
+        for _ in range(self.epochs):
+            for i in rng.permutation(n):
+                t += 1
+                eta = 1.0 / (self.reg * t)
+                if y[i] * (u @ feats[i] + c) < 1.0:
+                    u = (1.0 - eta * self.reg) * u + eta * y[i] * feats[i]
+                    c = c + eta * y[i]
+                else:
+                    u = (1.0 - eta * self.reg) * u
+            loss = _hinge_loss(u, c, feats, y)
+            if loss < best[2]:
+                best = (u.copy(), c, loss)
+        self.model = LinearSvmModel(best[0], best[1], negative_label=neg, positive_label=pos)
         return self
 
     def predict(self, features: np.ndarray) -> list:
-        if self._model is None:
+        if self.model is None:
             raise ValidationError("fit before predict")
-        return self._model.predict(features)
+        return self.model.predict(features)
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +267,8 @@ class _TreeNode:
 @dataclass(frozen=True)
 class DecisionTreeModel:
     classes: tuple
+    dim: int  # attributes of the training data
     root: _TreeNode = field(repr=False)
-    max_depth: int = 0
-    min_leaf: int = 0
 
 
 _U = np.finfo(np.float64).eps / 2  # unit roundoff
@@ -440,54 +424,41 @@ def _grow(feats, codes, n_classes, max_depth, min_leaf) -> _TreeNode:
     return root
 
 
-def dt_train(train: Dataset, max_depth: int = 12, min_leaf: int = 2) -> DecisionTreeModel:
-    """Grow a binary CART tree by maximal Gini decrease.
-
-    Raises:
-        EmptyTrainSet: no training records.
-        ConfigInvalid: max_depth or min_leaf below 1.
-    """
-    if len(train) == 0:
-        raise EmptyTrainSet("decision tree needs training records")
-    if max_depth < 1 or min_leaf < 1:
-        raise ConfigInvalid("max_depth and min_leaf must be >= 1")
-    classes = tuple(train.classes())
-    lookup = {label: i for i, label in enumerate(classes)}
-    codes = np.array([lookup[l] for l in train.labels.tolist()],
-                     dtype=np.min_scalar_type(len(classes) - 1))
-    root = _grow(train.features, codes, len(classes), max_depth, min_leaf)
-    return DecisionTreeModel(classes, root, max_depth, min_leaf)
-
-
 class DecisionTreeClassifier:
     def __init__(self, max_depth: int = 12, min_leaf: int = 2):
+        if max_depth < 1 or min_leaf < 1:
+            raise ConfigInvalid("max_depth and min_leaf must be >= 1")
         self.max_depth = max_depth
         self.min_leaf = min_leaf
         self.name = "dt"
-        self._model: DecisionTreeModel | None = None
-        self._dim = 0
+        self.model: DecisionTreeModel | None = None
 
     def fit(self, train: Dataset) -> "DecisionTreeClassifier":
-        self._model = dt_train(train, self.max_depth, self.min_leaf)
-        self._dim = train.dim
+        """Grow a binary CART tree by maximal Gini decrease.
+
+        Raises:
+            EmptyTrainSet: no training records.
+        """
+        if len(train) == 0:
+            raise EmptyTrainSet("decision tree needs training records")
+        classes = tuple(train.classes())
+        lookup = {label: i for i, label in enumerate(classes)}
+        codes = np.array([lookup[l] for l in train.labels.tolist()],
+                         dtype=np.min_scalar_type(len(classes) - 1))
+        root = _grow(train.features, codes, len(classes), self.max_depth, self.min_leaf)
+        self.model = DecisionTreeModel(classes, train.dim, root)
         return self
 
     def predict(self, features: np.ndarray) -> list:
-        if self._model is None:
+        if self.model is None:
             raise ValidationError("fit before predict")
         preds = []
-        for z in _queries(features, self._dim).tolist():
-            node = self._model.root
+        for z in _queries(features, self.model.dim).tolist():
+            node = self.model.root
             while not node.is_leaf:
                 node = node.left if z[node.attribute] <= node.threshold else node.right
-            preds.append(self._model.classes[node.prediction])
+            preds.append(self.model.classes[node.prediction])
         return preds
-
-    @property
-    def model(self) -> DecisionTreeModel:
-        if self._model is None:
-            raise ValidationError("fit before inspecting the model")
-        return self._model
 
 
 # short name -> classifier with its own defaults; only the SVM draws on the seed

@@ -45,12 +45,11 @@ class MalformedCsv(ValidationError):
 
 
 class ClassTooSmall(ValidationError):
-    def __init__(self, label, count=None):
+    """A class has too few records: fewer than 2 for a split or naive Bayes."""
+
+    def __init__(self, label, count):
         self.label = label
-        msg = f"class {label!r} is too small"
-        if count is not None:
-            msg += f" ({count} record(s))"
-        super().__init__(msg)
+        super().__init__(f"class {label!r} is too small ({count} record(s))")
 
 
 class CountExceedsClass(ValidationError):
@@ -93,12 +92,6 @@ class ZeroBins(ValidationError):
 
 class EmptyTrainSet(ValidationError):
     pass
-
-
-class DegenerateClass(ValidationError):
-    def __init__(self, label, count):
-        self.label = label
-        super().__init__(f"class {label!r} has only {count} record(s); at least 2 required")
 
 
 class NonBinaryLabels(ValidationError):

@@ -65,8 +65,8 @@ _CASTS = {"k": _as_int, "classifiers": tuple, "test_fraction": _as_float, "seed"
           "out_dir": str}
 _SMOTE_CASTS = {"amount_percent": _as_int, "neighbors": _as_int, "minkowski_q": _as_float}
 _NOISE_CASTS = {"level": _as_float, "model": str}
-# what run_manifest.json adds to the config, derived from ``seed``; a manifest
-# read back as a config skips them
+# what run_manifest.json adds to the config, derived from ``seed``, and the
+# effective_seed that older manifests carry; a manifest read as a config skips them
 _DERIVED_KEYS = ("effective_seed", "stage_seeds")
 
 
@@ -316,8 +316,7 @@ def _write_artifacts(out_dir, cfg, seed, released, risk, reports):
         risk.save(out / "risk.json")
         for report in reports:
             report.save(out / f"eval_{report.classifier}.json")
-        manifest = cfg.to_dict()
-        manifest["effective_seed"] = seed
+        manifest = replace(cfg, seed=seed, out_dir=str(out_dir)).to_dict()
         manifest["stage_seeds"] = {
             name: derive_seed(seed, name) for name in ("split", "smote", "noise")
         }

@@ -13,18 +13,16 @@ from privsynth.classifiers import (
     NaiveBayesClassifier,
     SvmClassifier,
     _TreeNode,
-    dt_train,
     make_classifier,
-    nb_train,
-    svm_train,
 )
 from privsynth.data import Dataset, Schema, stratified_split
 from privsynth.errors import (
+    ClassTooSmall,
     ConfigInvalid,
-    DegenerateClass,
     DimensionMismatch,
     EmptyTrainSet,
     NonBinaryLabels,
+    ValidationError,
 )
 from privsynth.noise import NoiseConfig, perturb
 from privsynth.smote import SmoteConfig, minkowski_distance, run_smote
@@ -291,14 +289,21 @@ class TestNaiveBayes:
 
     def test_degenerate_class(self):
         train = table([[0.0], [1.0], [2.0]], ["a", "a", "b"])
-        with pytest.raises(DegenerateClass):
-            nb_train(train)
+        with pytest.raises(ClassTooSmall):
+            NaiveBayesClassifier().fit(train)
 
     def test_constant_attribute_harmless(self):
-        feats = np.column_stack([np.full(40, 3.0), np.random.default_rng(2).normal(size=40)])
+        rng = np.random.default_rng(2)
+        feats = np.column_stack([np.full(40, 3.0), rng.normal(size=40)])
         labels = ["a"] * 20 + ["b"] * 20
         clf = NaiveBayesClassifier().fit(table(feats, labels))
         assert clf.predict([[3.0, 0.0]])[0] in ("a", "b")
+        # a class-constant column spread so little that 1e-9 x its variance
+        # underflows to 0 gets unit variance too, and moves no prediction
+        tiny = np.repeat([1e-160, 3e-160], 20)
+        wide = NaiveBayesClassifier().fit(table(np.column_stack([feats, tiny]), labels))
+        queries = np.column_stack([np.full(50, 3.0), rng.normal(size=50), np.full(50, 2e-160)])
+        assert wide.predict(queries) == clf.predict(queries[:, :2])
 
 
 class TestSvm:
@@ -331,8 +336,8 @@ class TestSvm:
         left = rng.normal(-5, 0.5, size=(40, 2))
         right = rng.normal(5, 0.5, size=(40, 2))
         train = table(np.vstack([left, right]), [-1] * 40 + [1] * 40)
-        model = svm_train(train, epochs=40, reg=1e-3, seed=0)
-        preds = model.predict(train.features)
+        clf = SvmClassifier(epochs=40, reg=1e-3, seed=0).fit(train)
+        preds = clf.predict(train.features)
         actual = [-1] * 40 + [1] * 40
         assert preds == actual
 
@@ -343,7 +348,7 @@ class TestSvm:
         if len(set(labels)) == 1:
             labels[0] = "a" if labels[0] == "b" else "b"
         train = table(feats, labels)
-        model = svm_train(train, epochs=10, reg=1e-2, seed=1)
+        model = SvmClassifier(epochs=10, reg=1e-2, seed=1).fit(train).model
         y = np.array([1.0 if l == "b" else -1.0 for l in labels])
         hinge = np.maximum(0.0, 1.0 - y * (train.features @ model.weights + model.offset)).mean()
         assert hinge <= 1.0 + 1e-12  # zero-weight loss is exactly 1
@@ -351,13 +356,12 @@ class TestSvm:
     def test_single_class_rejected(self):
         train = table([[0.0], [1.0]], ["a", "a"])
         with pytest.raises(NonBinaryLabels):
-            svm_train(train)
+            SvmClassifier().fit(train)
 
     def test_deterministic(self):
         rng = np.random.default_rng(8)
         train = table(rng.normal(size=(30, 2)), ["a", "b"] * 15)
-        m1 = svm_train(train, epochs=5, reg=1e-2, seed=42)
-        m2 = svm_train(train, epochs=5, reg=1e-2, seed=42)
+        m1, m2 = (SvmClassifier(epochs=5, reg=1e-2, seed=42).fit(train).model for _ in range(2))
         assert np.array_equal(m1.weights, m2.weights)
         assert m1.offset == m2.offset
 
@@ -407,7 +411,7 @@ class TestDecisionTree:
     def test_min_leaf_respected(self):
         rng = np.random.default_rng(10)
         train = table(rng.normal(size=(40, 2)), ["a", "b"] * 20)
-        model = dt_train(train, max_depth=8, min_leaf=5)
+        model = DecisionTreeClassifier(max_depth=8, min_leaf=5).fit(train).model
 
         def leaf_depth_sizes(node, feats, labels):
             if node.is_leaf:
@@ -445,7 +449,7 @@ class TestDecisionTree:
         feats = rng.integers(0, 40, size=(900, 3))
         cases.append((table(feats, rng.integers(0, 300, size=900).tolist()), 6, 1))
         for i, (train, max_depth, min_leaf) in enumerate(cases):
-            model = dt_train(train, max_depth=max_depth, min_leaf=min_leaf)
+            model = DecisionTreeClassifier(max_depth, min_leaf).fit(train).model
             assert_same_tree(model.root, reference_tree(train, max_depth, min_leaf), f"case {i}")
 
     def test_split_margin_covers_rounding(self, monkeypatch):
@@ -458,9 +462,10 @@ class TestDecisionTree:
         train = table(feats, labels)
         ref = reference_tree(train, 1, 1)
         assert (ref.attribute, ref.threshold) == (0, 3.5)
-        assert_same_tree(dt_train(train, max_depth=1, min_leaf=1).root, ref)
+        stump = DecisionTreeClassifier(max_depth=1, min_leaf=1)
+        assert_same_tree(stump.fit(train).model.root, ref)
         monkeypatch.setattr(classifiers, "_q_margin", lambda m, n_classes: 0.0)
-        root = dt_train(train, max_depth=1, min_leaf=1).root
+        root = stump.fit(train).model.root
         assert (root.attribute, root.threshold) == (1, 1.0)
 
     def test_fit_memory_is_bounded(self):
@@ -468,18 +473,15 @@ class TestDecisionTree:
         train = make_surrogate(6000, seed=3)
         tracemalloc.start()
         try:
-            dt_train(train)
+            DecisionTreeClassifier().fit(train)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 12 * train.features.nbytes
 
     def test_invalid_config(self):
-        train = table([[0.0]], ["a"])
-        with pytest.raises(ConfigInvalid):
-            dt_train(train, max_depth=0)
         with pytest.raises(EmptyTrainSet):
-            dt_train(table(np.empty((0, 1)), []))
+            DecisionTreeClassifier().fit(table(np.empty((0, 1)), []))
 
 
 @pytest.mark.parametrize("width", [1, 3], ids=["d-1", "d+1"])
@@ -492,6 +494,30 @@ def test_predict_rejects_wrong_width(name, width):
     clf = make_classifier(name).fit(train)
     with pytest.raises(DimensionMismatch):
         clf.predict(np.zeros((4, width)))
+
+
+@pytest.mark.parametrize("name", sorted(classifiers.CLASSIFIERS))
+def test_predict_before_fit_is_rejected(name):
+    with pytest.raises(ValidationError, match="fit before predict"):
+        make_classifier(name).predict(np.zeros((1, 2)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: KnnClassifier(k=0),
+    lambda: KnnClassifier(q=0.5),
+    lambda: SvmClassifier(epochs=0),
+    lambda: SvmClassifier(reg=0.0),
+    lambda: SvmClassifier(reg=-1e-3),
+    lambda: SvmClassifier(reg=float("nan")),
+    lambda: SvmClassifier(reg=float("inf")),
+    lambda: DecisionTreeClassifier(max_depth=0),
+    lambda: DecisionTreeClassifier(min_leaf=0),
+], ids=["knn-k", "knn-q", "svm-epochs", "svm-reg-zero", "svm-reg-negative", "svm-reg-nan",
+        "svm-reg-inf", "dt-max-depth", "dt-min-leaf"])
+def test_bad_hyperparameter_rejected_at_construction(make):
+    # Naive Bayes takes no hyperparameters
+    with pytest.raises(ConfigInvalid):
+        make()
 
 
 class TestFactory:

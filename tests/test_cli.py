@@ -113,7 +113,7 @@ class TestSynthesize:
             "--seed", "5",
             "--out", first,
         ]) == 0
-        # the manifest's effective_seed and stage_seeds are derived, so skipped
+        # the manifest's stage_seeds are derived from its seed, so skipped
         assert run(["synthesize", "--config", first / "run_manifest.json", "--out", again]) == 0
         for name in ("released.csv", "risk.json", "eval_nb.json"):
             assert (again / name).read_bytes() == (first / name).read_bytes(), name
@@ -248,6 +248,31 @@ class TestSweepAndPlotdata:
         assert code == 0
         assert (plots / "accuracy_vs_noise_E100_k2.csv").exists()
         assert (plots / "risk_vs_smote_g0.3_k2.csv").exists()
+
+    def test_point_manifest_as_config_reproduces_the_point(self, workspace, tmp_path):
+        # each point runs with its own derived seed and directory; its
+        # manifest must name both, not the sweep's master seed and root
+        out, again = tmp_path / "sweep", tmp_path / "again"
+        assert run([
+            "sweep",
+            "--input", workspace / "data.csv",
+            "--schema", workspace / "schema.json",
+            "--minority-label", "12",
+            "--classifiers", "nb,dt",
+            "--noise-levels", "0.1,0.3",
+            "--smote-amounts", "100",
+            "--k-values", "2",
+            "--seed", "3",
+            "--out", out,
+        ]) == 0
+        point = out / "g0.3_E100_k2"
+        assert run(["synthesize", "--config", point / "run_manifest.json", "--out", again]) == 0
+        for name in ("released.csv", "risk.json", "eval_nb.json", "eval_dt.json"):
+            assert (again / name).read_bytes() == (point / name).read_bytes(), name
+        manifest, rerun = (json.loads((run_dir / "run_manifest.json").read_text())
+                           for run_dir in (point, again))
+        assert manifest["out_dir"] == str(point)
+        assert rerun == {**manifest, "out_dir": str(again)}
 
     def test_plotdata_missing_report(self, tmp_path):
         code = run(["plotdata", "--report", tmp_path / "none.json", "--out", tmp_path])
