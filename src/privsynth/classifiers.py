@@ -7,9 +7,12 @@ rule so results are easy to verify by hand:
 - Gaussian naive Bayes,
 - a linear SVM decision rule ``sign(u . z + c)`` with a stochastic
   subgradient trainer for the hinge loss,
-- a CART-style decision tree on Gini impurity, grown from one presort of
-  the training data: exact integer Gini scores propose each split and the
-  reference float arithmetic decides among the near-best (``_best_split``).
+- a CART-style decision tree on Gini impurity, grown level by level from
+  one presort of the training data: one search per depth scores every
+  split of every node of that depth with exact integer Gini quantities, and
+  the reference float arithmetic decides among each node's near-best
+  (``_split_search``); ``predict`` steps all query rows down the tree's
+  arrays at once.
 
 Each model is one class. Its constructor rejects a bad hyperparameter with
 ``ConfigInvalid``, ``fit(train)`` trains it in place (the SVM and the tree keep
@@ -266,9 +269,45 @@ class _TreeNode:
 
 @dataclass(frozen=True)
 class DecisionTreeModel:
+    """A grown tree, ``root``, and the same tree breadth first as arrays.
+
+    Node i of the arrays sends a row whose value of ``attribute[i]`` is
+    ``<= threshold[i]`` to ``left[i]`` and any other row, NaN included, to
+    ``right[i]``; a leaf is its own child either way, so ``depth`` steps
+    from node 0 take every row to its leaf, which predicts class id
+    ``prediction[i]``.
+    """
+
     classes: tuple
     dim: int  # attributes of the training data
     root: _TreeNode = field(repr=False)
+    attribute: np.ndarray = field(init=False, repr=False, compare=False)
+    threshold: np.ndarray = field(init=False, repr=False, compare=False)
+    left: np.ndarray = field(init=False, repr=False, compare=False)
+    right: np.ndarray = field(init=False, repr=False, compare=False)
+    prediction: np.ndarray = field(init=False, repr=False, compare=False)
+    depth: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        nodes, depths, children = [self.root], [0], []
+        for i, node in enumerate(nodes):  # nodes grows while it is walked
+            if node.is_leaf:
+                children.append((i, i))
+            else:
+                children.append((len(nodes), len(nodes) + 1))
+                nodes += [node.left, node.right]
+                depths += [depths[i] + 1] * 2
+        left, right = np.array(children, dtype=np.intp).T
+        arrays = {
+            "attribute": np.array([node.attribute for node in nodes], dtype=np.intp),
+            "threshold": np.array([node.threshold for node in nodes], dtype=np.float64),
+            "left": left,
+            "right": right,
+            "prediction": np.array([node.prediction for node in nodes], dtype=np.intp),
+            "depth": max(depths),
+        }
+        for name, value in arrays.items():
+            object.__setattr__(self, name, value)
 
 
 _U = np.finfo(np.float64).eps / 2  # unit roundoff
@@ -279,19 +318,19 @@ def _gamma(k: int) -> float:
     return k * _U / (1 - k * _U)
 
 
-def _q_margin(m: int, n_classes: int) -> float:
-    """How far below the best float Q a split may score and still win on
-    the reference gain (see ``_best_split``)."""
+def _q_margin(m, n_classes: int):
+    """How far below the best float Q a split of an ``m``-row node may score
+    and still win on the reference gain (see ``_split_search``)."""
     return 2 * m * (_gamma(2) + _gamma(n_classes + 8))
 
 
 def _reference_gains(left, n_left, totals, parent):
     """The reference arithmetic: Gini gains of splits whose left sides hold
-    the class counts ``left`` (one row per split) of a node with class
-    counts ``totals`` and Gini impurity ``parent``."""
-    m = int(totals.sum())
+    the class counts ``left`` (one row per split) of nodes with class counts
+    ``totals`` and Gini impurity ``parent`` (one row or value per split)."""
+    m = totals.sum(axis=-1)
     n_left = n_left[:, None]
-    n_right = m - n_left
+    n_right = m[:, None] - n_left
     share = left / n_left
     gini_left = 1.0 - np.sum(np.square(share, out=share), axis=-1)
     np.divide(totals - left, n_right, out=share)
@@ -300,26 +339,42 @@ def _reference_gains(left, n_left, totals, parent):
     return parent - weighted
 
 
-def _best_split(order, feats_t, codes, totals, min_leaf):
-    """Best (gain, attribute, threshold) over all axis-aligned splits of a node.
+def _split_search(order, totals, feats_t, codes, min_leaf):
+    """Best axis-aligned split of every node of one tree level.
 
-    ``order[a]`` lists the node's rows by ascending attribute ``a`` (ties by
-    row id); ``feats_t`` is the training data attribute-major and
-    ``totals`` the node's class counts. Candidates are midpoints between
-    consecutive distinct sorted values with at least ``min_leaf`` rows on
-    either side. The result is the first maximum, attribute-major, of the
-    reference gains (``_reference_gains``), so ties go to the lower
-    attribute index and then the lower threshold.
+    ``order[a]`` lists the level's rows by node, and within a node by
+    ascending attribute ``a`` (ties by row id): node k holds the same
+    contiguous segment of every attribute row. ``totals[k]`` are node k's
+    class counts and ``feats_t`` is the training data attribute-major.
+    Candidates are midpoints between consecutive distinct sorted values of
+    a node with at least ``min_leaf`` rows on either side. A node's split
+    is the first maximum, attribute-major, of the reference gains
+    (``_reference_gains``), so ties go to the lower attribute index and
+    then the lower threshold.
+
+    Returns ``(nodes, gains, attrs, thresholds, left)``: one entry per
+    node that has a candidate, ascending, with the winner's left class
+    counts as the rows of ``left``.
 
     Every candidate is first scored from exact integer counts. With l_c and r_c
-    the class counts left and right of a split, the Gini gain is
-    ``parent - 1 + Q / m`` with Q = sum l_c^2 / n_l + sum r_c^2 / n_r. A
-    row whose class already has k rows before it adds 2k + 1 to
-    L2 = sum l_c^2, and R2 = sum r_c^2 = T2 - 2 sum T_c l_c + L2 with T the
-    node's class counts, so both are running sums over the sorted rows.
+    the class counts left and right of a split of an m-row node, the Gini
+    gain is ``parent - 1 + Q / m`` with Q = sum l_c^2 / n_l + sum r_c^2 / n_r.
+    Moving a row whose class c already has k rows before it in its node to
+    the left side adds 2k + 1 to L2 = sum l_c^2 and 2k + 1 - 2 T_c to
+    R2 = sum r_c^2, which starts at T2 = sum T_c^2 (T the node's class
+    counts), so both are running sums over the sorted rows. One stable sort
+    of each attribute row by (node, class), a radix sort while nodes x
+    classes fit 16 bits, gives every row its k. The running sums run along
+    the whole level row: a node's terms add up to T2 and -T2, so the
+    previous node's total is taken back at the first row of each segment
+    and every partial sum is the node's own, in [0, m^2] for L2 and in
+    [-m^2, 0] for R2 - T2. Every term, a segment's first included, and
+    every partial sum is then an integer of magnitude at most n^2 for n
+    training rows, exact in float64 while n < 2^26.5 (9.4e7), so each float
+    Q is the one the same split gets when its node is searched alone.
 
-    Only candidates whose float Q lies within ``_q_margin`` of the best are
-    scored with the reference arithmetic. The margin is derived as
+    Only candidates whose float Q lies within ``_q_margin`` of their node's
+    best are scored with the reference arithmetic. The margin is derived as
     ``distance._certified`` derives its bound (Higham, "Accuracy and
     Stability of Numerical Algorithms", section 3.1, with unit roundoff u
     and gamma_k = k u / (1 - k u)):
@@ -344,84 +399,139 @@ def _best_split(order, feats_t, codes, totals, min_leaf):
     n_r) can round apart, so with a margin of 0 the reference winner can be
     dropped.
     """
-    d, m = order.shape
-    n_classes = totals.size
-    classes = codes[order]
-    # the counts below are integers of magnitude under 3 m^2, exact in float64
-    # l2[a, j] starts as how many rows before position j along attribute a
-    # share its class; the stable sort of a small unsigned dtype is a radix sort
-    by_class = np.argsort(classes, axis=1, kind="stable")
-    start = np.cumsum(totals) - totals
-    l2 = np.empty((d, m))
-    l2[np.arange(d)[:, None], by_class] = np.arange(m) - np.repeat(start, totals)
-    l2 *= 2
-    l2 += 1
-    np.cumsum(l2, axis=1, out=l2)
-    r2 = totals.astype(np.float64)[classes]
-    np.cumsum(r2, axis=1, out=r2)
+    d, n = order.shape
+    n_nodes, n_classes = totals.shape
+    # no split falls between equal values; flat (a, row) in feats_t is a * n_rows + row
+    vals = np.take(feats_t, order + np.arange(0, feats_t.size, feats_t.shape[1])[:, None])
+    tied = vals[:, :-1] == vals[:, 1:]
+    del vals
+    sizes = totals.sum(axis=1)
+    starts = np.cumsum(sizes) - sizes
+    node_of = np.repeat(np.arange(n_nodes), sizes)
+    counts = totals.ravel()  # group g = node * C + class holds counts[g] rows
+    group = codes[order].astype(np.min_scalar_type(counts.size - 1), copy=False)
+    group += (node_of * n_classes).astype(group.dtype)
+    # flat (attribute, position) indices of the level, by attribute, group, position
+    by_group = np.argsort(group, axis=1, kind="stable")
+    by_group += np.arange(0, d * n, n)[:, None]
+    start = np.cumsum(counts) - counts
+    t2 = np.einsum("kc,kc->k", totals, totals).astype(np.float64)
+    # l2 starts as 2k + 1, k the rows before this one along its attribute
+    # that share its node and class; put repeats the n values for each attribute
+    l2 = np.empty((d, n))
+    np.put(l2, by_group, 2.0 * (np.arange(n) - np.repeat(start, counts)) + 1.0)
+    r2 = counts.astype(np.float64)[group]
+    del group
     r2 *= -2
     r2 += l2
-    r2 += float(totals @ totals)
-    # a split after position p has n_l = p + 1; keep p with min_leaf rows either side
-    lo, hi = min_leaf - 1, m - min_leaf
-    n_left = np.arange(lo + 1, hi + 1, dtype=np.float64)
-    q = l2[:, lo:hi] / n_left
-    q += np.divide(r2[:, lo:hi], m - n_left, out=r2[:, lo:hi])
-    # flat index of (a, row) in feats_t is a * n + row
-    vals = np.take(feats_t, order + np.arange(0, feats_t.size, feats_t.shape[1])[:, None])
-    q[vals[:, lo:hi] == vals[:, lo + 1:hi + 1]] = -np.inf
-    best = q.max()
-    if best == -np.inf:
-        return -np.inf, -1, 0.0
-    attrs, pos = np.nonzero(q >= best - _q_margin(m, n_classes))  # attribute-major
-    pos += lo
+    # a node's terms add up to T2 in l2 and -T2 in r2: undoing the previous
+    # node's total at each segment start keeps each running sum its node's own
+    l2[:, starts[1:]] -= t2[:-1]
+    r2[:, starts[1:]] += t2[:-1]
+    np.cumsum(l2, axis=1, out=l2)
+    np.cumsum(r2, axis=1, out=r2)
+    r2 += t2[node_of]
+    # a split after position p of node k has n_l = p - starts[k] + 1
+    n_left = (np.arange(n) - starts[node_of] + 1).astype(np.float64)
+    n_right = sizes[node_of] - n_left
+    q = np.divide(l2, n_left, out=l2)
+    q += np.divide(r2, np.maximum(n_right, 1.0), out=r2)
+    del r2
+    np.copyto(q, -np.inf, where=(n_left < min_leaf) | (n_right < min_leaf))
+    np.copyto(q[:, :-1], -np.inf, where=tied)
+    best = np.maximum.reduceat(q.max(axis=0), starts)
+    floor = best - _q_margin(sizes, n_classes)
+    floor[best == -np.inf] = np.inf
+    attrs, pos = np.divmod(np.flatnonzero(q >= floor[node_of]), n)  # attribute-major
+    del q
+    # node-major, then still attribute-major within each node
+    by_node = np.argsort(node_of[pos], kind="stable")
+    attrs, pos = attrs[by_node], pos[by_node]
+    node = node_of[pos]
     # left class counts of each candidate: along each attribute the positions
-    # of each class are ascending, so one key array laid out attribute, class,
-    # position is sorted and a search per (candidate, class) counts them
-    label = np.arange(n_classes)
-    keys = (np.arange(d)[:, None] * n_classes + np.repeat(label, totals)) * m + by_class
-    probes = (attrs[:, None] * n_classes + label) * m + pos[:, None]
+    # of each group are ascending, so keys laid out attribute, group, position
+    # are sorted and a search per (candidate, class) counts them
+    keys = by_group
+    keys += np.repeat(np.arange(counts.size) * n, counts)
+    keys += (np.arange(d) * ((counts.size - 1) * n))[:, None]
+    groups = node[:, None] * n_classes + np.arange(n_classes)
+    probes = (attrs[:, None] * counts.size + groups) * n + pos[:, None]
     left = np.searchsorted(keys.ravel(), probes, side="right")
-    left -= attrs[:, None] * m + start
-    p = totals / m
-    gains = _reference_gains(left, pos + 1, totals, 1.0 - np.sum(p * p))
-    i = int(np.argmax(gains))
-    attr, at = int(attrs[i]), pos[i]
-    return float(gains[i]), attr, float((vals[attr, at] + vals[attr, at + 1]) / 2.0)
+    left -= attrs[:, None] * n + start[groups]
+    p = totals / sizes[:, None]
+    parent = 1.0 - np.sum(p * p, axis=1)
+    gains = _reference_gains(left, pos - starts[node] + 1, totals[node], parent[node])
+    # the first maximum of each node's run of candidates
+    first = np.flatnonzero(np.diff(node, prepend=-1))
+    top = np.maximum.reduceat(gains, first)
+    hits = np.flatnonzero(gains == np.repeat(top, np.diff(first, append=node.size)))
+    win = hits[np.diff(node[hits], prepend=-1) != 0]
+    attrs, pos = attrs[win], pos[win]
+    thresholds = (feats_t[attrs, order[attrs, pos]] + feats_t[attrs, order[attrs, pos + 1]]) / 2.0
+    return node[win], gains[win], attrs, thresholds, left[win]
 
 
 def _grow(feats, codes, n_classes, max_depth, min_leaf) -> _TreeNode:
-    """The tree, grown depth first from one stable presort of the features.
+    """The tree, grown level by level from one stable presort of the features.
 
-    Each pending node carries its rows by ascending value of every
-    attribute; a split compresses those lists with its side mask, which
-    keeps rows with equal values in row id order, the order a fresh stable
-    sort of the node would give. A node's lists are dropped once its
-    children's are made, so the pending lists hold each training row at
-    most once per attribute, plus the split being made: O(n d) memory.
+    The nodes still to split at one depth share one array of per-attribute
+    row orders, each node a contiguous segment of every attribute row, and
+    one ``_split_search`` call splits them all. One stable partition of
+    that array then lays out the next level: the left children's segments,
+    node by node, then the right children's, rows with equal values still
+    in row id order, the order a fresh stable sort of a node would give.
+    Rows whose node becomes a leaf are dropped, so the level array holds
+    each training row at most once per attribute: O(n d) memory, and at
+    most ``max_depth`` split searches per tree.
     """
     feats_t = np.ascontiguousarray(feats.T)
-    goes_left = np.empty(len(codes), dtype=bool)  # scratch, read only at the node's rows
-    root = _TreeNode()
-    pending = [(root, np.argsort(feats_t, axis=1, kind="stable"), 0)]
-    while pending:
-        node, order, depth = pending.pop()
-        rows = order[0]
-        counts = np.bincount(codes[rows], minlength=n_classes)
-        node.prediction = int(np.argmax(counts))  # tie -> lower class id
-        if depth >= max_depth or counts.max() == rows.size or rows.size < 2 * min_leaf:
-            continue
-        gain, attr, thresh = _best_split(order, feats_t, codes, counts, min_leaf)
-        if attr < 0 or gain < 0.0:
-            continue
-        goes_left[rows] = feats_t[attr, rows] <= thresh
-        mask = goes_left[order].ravel()
-        left = np.compress(mask, order).reshape(order.shape[0], -1)
-        right = np.compress(~mask, order).reshape(order.shape[0], -1)
-        node.attribute, node.threshold = attr, thresh
-        node.left, node.right = _TreeNode(), _TreeNode()
-        pending += [(node.right, right, depth + 1), (node.left, left, depth + 1)]
+    totals = np.bincount(codes, minlength=n_classes)[None, :]
+    root = _TreeNode(prediction=int(np.argmax(totals)))  # tie -> lower class id
+    nodes = [root] if _splittable(totals, 0, max_depth, min_leaf)[0] else []
+    order = np.argsort(feats_t, axis=1, kind="stable")
+    side = np.empty(len(codes), dtype=np.uint8)  # scratch, read only at the level's rows
+    depth = 0
+    while nodes:
+        which, gains, attrs, thresholds, left = _split_search(order, totals, feats_t, codes,
+                                                              min_leaf)
+        split = gains >= 0.0
+        which, attrs, thresholds, left = which[split], attrs[split], thresholds[split], left[split]
+        right = totals[which] - left
+        depth += 1
+        grows_left = _splittable(left, depth, max_depth, min_leaf)
+        grows_right = _splittable(right, depth, max_depth, min_leaf)
+        parents = [nodes[k] for k in which.tolist()]
+        for node, attr, threshold, left_class, right_class in zip(
+                parents, attrs.tolist(), thresholds.tolist(),
+                np.argmax(left, axis=1).tolist(), np.argmax(right, axis=1).tolist()):
+            node.attribute, node.threshold = attr, threshold
+            node.left, node.right = _TreeNode(prediction=left_class), _TreeNode(prediction=right_class)
+        nodes = ([node.left for node, grows in zip(parents, grows_left.tolist()) if grows]
+                 + [node.right for node, grows in zip(parents, grows_right.tolist()) if grows])
+        if not nodes:
+            break
+        # side of each row: 0 to a growing left child, 1 to a growing right one, else 2
+        split_of = np.full(len(totals), -1)
+        split_of[which] = np.arange(which.size)
+        split_of = np.repeat(split_of, totals.sum(axis=1))
+        rows = order[0][split_of >= 0]
+        split_of = split_of[split_of >= 0]
+        goes_right = ~(feats_t[attrs[split_of], rows] <= thresholds[split_of])
+        grows = np.where(goes_right, grows_right[split_of], grows_left[split_of])
+        side.fill(2)
+        side[rows] = np.where(grows, goes_right, 2)
+        at = side[order]
+        order = np.hstack([np.compress((at == 0).ravel(), order).reshape(len(order), -1),
+                           np.compress((at == 1).ravel(), order).reshape(len(order), -1)])
+        totals = np.vstack([left[grows_left], right[grows_right]])
     return root
+
+
+def _splittable(totals, depth, max_depth, min_leaf) -> np.ndarray:
+    """Which nodes with these class counts the stop rules let grow: below
+    ``max_depth``, impure, and with room for ``min_leaf`` rows per side."""
+    sizes = totals.sum(axis=1)
+    return (depth < max_depth) & (totals.max(axis=1) < sizes) & (sizes >= 2 * min_leaf)
 
 
 class DecisionTreeClassifier:
@@ -452,13 +562,14 @@ class DecisionTreeClassifier:
     def predict(self, features: np.ndarray) -> list:
         if self.model is None:
             raise ValidationError("fit before predict")
-        preds = []
-        for z in _queries(features, self.model.dim).tolist():
-            node = self.model.root
-            while not node.is_leaf:
-                node = node.left if z[node.attribute] <= node.threshold else node.right
-            preds.append(self.model.classes[node.prediction])
-        return preds
+        model = self.model
+        feats = _queries(features, model.dim)
+        rows = np.arange(len(feats))
+        at = np.zeros(len(feats), dtype=np.intp)
+        for _ in range(model.depth):
+            goes_left = feats[rows, model.attribute[at]] <= model.threshold[at]
+            at = np.where(goes_left, model.left[at], model.right[at])
+        return [model.classes[i] for i in model.prediction[at].tolist()]
 
 
 # short name -> classifier with its own defaults; only the SVM draws on the seed

@@ -55,6 +55,12 @@ class ConfusionMatrix:
 
     @classmethod
     def from_predictions(cls, actual, predicted, classes=None) -> "ConfusionMatrix":
+        """Counts of each (actual, predicted) pair; ``classes`` defaults to
+        every label seen, in ``sorted_labels`` order.
+
+        Raises:
+            ValidationError: the lengths differ, or a label is not in ``classes``.
+        """
         actual = list(actual)
         predicted = list(predicted)
         if len(actual) != len(predicted):
@@ -62,10 +68,13 @@ class ConfusionMatrix:
         if classes is None:
             classes = sorted_labels(actual + predicted)
         lookup = {label: i for i, label in enumerate(classes)}
-        counts = np.zeros((len(classes), len(classes)), dtype=np.int64)
-        for a, p in zip(actual, predicted):
-            counts[lookup[a], lookup[p]] += 1
-        return cls(tuple(classes), counts)
+        c = len(classes)
+        try:
+            pairs = [lookup[a] * c + lookup[p] for a, p in zip(actual, predicted)]
+        except KeyError as missing:
+            raise ValidationError(f"label {missing.args[0]!r} is not one of the classes") from None
+        counts = np.bincount(np.array(pairs, dtype=np.int64), minlength=c * c)
+        return cls(tuple(classes), counts.reshape(c, c))
 
     @property
     def total(self) -> int:

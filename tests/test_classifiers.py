@@ -151,6 +151,19 @@ def assert_same_tree(node, ref, path="root"):
         assert_same_tree(node.right, ref.right, path + ".right")
 
 
+def tree_depth(node) -> int:
+    return 0 if node.is_leaf else 1 + max(tree_depth(node.left), tree_depth(node.right))
+
+
+def walk(root, z):
+    """The class id a row reaches by the per-row descent that ``predict``
+    replaced: left on ``<=``, right otherwise (NaN included)."""
+    node = root
+    while not node.is_leaf:
+        node = node.left if z[node.attribute] <= node.threshold else node.right
+    return node.prediction
+
+
 def surrogate_release(g, amount):
     train, _ = stratified_split(make_surrogate(3000, seed=1729), 0.3, seed=11)
     merged = run_smote(train, 12, SmoteConfig(amount, 5, seed=12))
@@ -467,6 +480,80 @@ class TestDecisionTree:
         monkeypatch.setattr(classifiers, "_q_margin", lambda m, n_classes: 0.0)
         root = stump.fit(train).model.root
         assert (root.attribute, root.threshold) == (1, 1.0)
+
+    @pytest.mark.parametrize("case", ["sibling_class_sets", "leaf_beside_split",
+                                      "ties_across_segments"])
+    def test_level_layouts_match_reference_grower(self, case):
+        # one level array holds every node of a depth: nodes whose class sets
+        # differ, a node with no candidate beside one with, and equal values
+        # on both sides of the boundary between two nodes' segments
+        if case == "sibling_class_sets":
+            feats = [[i, v] for i, v in enumerate([3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8])]
+            labels = ["a", "b"] * 3 + ["c", "d"] * 3
+        elif case == "leaf_beside_split":
+            feats = [[0, 5, 3]] * 4 + [[10, 5, v] for v in range(6)]
+            labels = ["a", "b"] * 2 + ["c", "d"] * 3
+        else:
+            feats = [[i, v] for i, v in enumerate([0, 1, 2, 2, 2, 2, 3, 4])]
+            labels = ["a", "b"] * 2 + ["c", "d"] * 2
+        train = table(feats, labels)
+        ref = reference_tree(train, 12, 1)
+        assert ref.attribute == 0 and not ref.right.is_leaf
+        assert ref.left.is_leaf == (case == "leaf_beside_split")
+        assert_same_tree(DecisionTreeClassifier(12, 1).fit(train).model.root, ref)
+
+    @pytest.mark.parametrize("max_depth, min_leaf", product((1, 2), (1, 3, 7)))
+    def test_shallow_trees_match_reference_grower(self, max_depth, min_leaf):
+        rng = np.random.default_rng(14)
+        train = table(rng.integers(0, 10, size=(200, 3)), rng.integers(0, 6, size=200).tolist())
+        model = DecisionTreeClassifier(max_depth, min_leaf).fit(train).model
+        assert_same_tree(model.root, reference_tree(train, max_depth, min_leaf))
+
+    @staticmethod
+    def count_searches(monkeypatch):
+        """Record the (nodes, classes) shape of every level split search."""
+        shapes = []
+        search = classifiers._split_search
+
+        def counted(order, totals, *args):
+            shapes.append(totals.shape)
+            return search(order, totals, *args)
+
+        monkeypatch.setattr(classifiers, "_split_search", counted)
+        return shapes
+
+    def test_one_split_search_per_level(self, monkeypatch):
+        xor = table([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]], ["a", "a", "b", "b"])
+        rng = np.random.default_rng(15)
+        noisy = table(rng.normal(size=(300, 4)), rng.integers(0, 5, size=300).tolist())
+        for train in (surrogate_release(0.3, 500), xor, noisy):
+            shapes = self.count_searches(monkeypatch)
+            root = DecisionTreeClassifier().fit(train).model.root
+            assert 1 <= len(shapes) <= tree_depth(root) + 1
+
+    def test_wide_level_matches_reference_grower(self, monkeypatch):
+        # all 512 rows of 9 binary attributes, 300 classes: the tree is
+        # perfect, and 256 nodes x 300 classes at depth 8 exceed a 16-bit
+        # sort key, so the (node, class) sort leaves numpy's radix path
+        idx = np.arange(512)
+        train = table((idx[:, None] >> np.arange(9)) & 1, (idx % 300).tolist())
+        shapes = self.count_searches(monkeypatch)
+        model = DecisionTreeClassifier(max_depth=9, min_leaf=1).fit(train).model
+        assert max(nodes * classes for nodes, classes in shapes) > 2 ** 16
+        assert_same_tree(model.root, reference_tree(train, 9, 1))
+
+    def test_predict_matches_tree_walk(self):
+        rng = np.random.default_rng(16)
+        train = surrogate_release(0.3, 130)
+        clf = DecisionTreeClassifier().fit(train)
+        queries = np.vstack([train.features[:400], rng.normal(size=(200, train.dim)) * 3])
+        queries[::7, rng.integers(0, train.dim)] = np.nan  # NaN fails <=, so goes right
+        expected = [train.classes()[walk(clf.model.root, z)] for z in queries.tolist()]
+        assert clf.predict(queries) == expected
+        assert clf.predict(queries[3]) == expected[3:4]  # one row as a vector
+        assert clf.predict(np.empty((0, train.dim))) == []
+        stump = DecisionTreeClassifier(1, 1).fit(table([[0.0], [1.0]], ["a", "b"]))
+        assert stump.predict([[0.5], [np.nan], [-1.0]]) == ["a", "b", "a"]
 
     def test_fit_memory_is_bounded(self):
         # per-node (n, d, classes) float arrays would take 35x the features

@@ -65,6 +65,12 @@ class TestConfusionMatrix:
         assert (tp, fp, fn, tn) == (1, 1, 1, 3)
         assert tp + fp + fn + tn == cm.total
 
+    @pytest.mark.parametrize("actual, predicted", [(["a", "z"], ["a", "b"]),
+                                                   (["a", "b"], ["z", "b"])])
+    def test_label_outside_classes_rejected(self, actual, predicted):
+        with pytest.raises(ValidationError, match="'z'"):
+            ConfusionMatrix.from_predictions(actual, predicted, classes=("a", "b"))
+
     def test_counts_must_be_square(self):
         with pytest.raises(ValidationError):
             ConfusionMatrix(("a", "b"), np.zeros((2, 3), dtype=int))
