@@ -11,8 +11,7 @@ rule so results are easy to verify by hand:
   one presort of the training data: one search per depth scores every
   split of every node of that depth with exact integer Gini quantities, and
   the reference float arithmetic decides among each node's near-best
-  (``_split_search``); ``predict`` steps all query rows down the tree's
-  arrays at once.
+  (``_split_search``).
 
 Each model is one class. Its constructor rejects a bad hyperparameter with
 ``ConfigInvalid``, ``fit(train)`` trains it in place (the SVM and the tree keep
@@ -269,45 +268,9 @@ class _TreeNode:
 
 @dataclass(frozen=True)
 class DecisionTreeModel:
-    """A grown tree, ``root``, and the same tree breadth first as arrays.
-
-    Node i of the arrays sends a row whose value of ``attribute[i]`` is
-    ``<= threshold[i]`` to ``left[i]`` and any other row, NaN included, to
-    ``right[i]``; a leaf is its own child either way, so ``depth`` steps
-    from node 0 take every row to its leaf, which predicts class id
-    ``prediction[i]``.
-    """
-
     classes: tuple
     dim: int  # attributes of the training data
     root: _TreeNode = field(repr=False)
-    attribute: np.ndarray = field(init=False, repr=False, compare=False)
-    threshold: np.ndarray = field(init=False, repr=False, compare=False)
-    left: np.ndarray = field(init=False, repr=False, compare=False)
-    right: np.ndarray = field(init=False, repr=False, compare=False)
-    prediction: np.ndarray = field(init=False, repr=False, compare=False)
-    depth: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        nodes, depths, children = [self.root], [0], []
-        for i, node in enumerate(nodes):  # nodes grows while it is walked
-            if node.is_leaf:
-                children.append((i, i))
-            else:
-                children.append((len(nodes), len(nodes) + 1))
-                nodes += [node.left, node.right]
-                depths += [depths[i] + 1] * 2
-        left, right = np.array(children, dtype=np.intp).T
-        arrays = {
-            "attribute": np.array([node.attribute for node in nodes], dtype=np.intp),
-            "threshold": np.array([node.threshold for node in nodes], dtype=np.float64),
-            "left": left,
-            "right": right,
-            "prediction": np.array([node.prediction for node in nodes], dtype=np.intp),
-            "depth": max(depths),
-        }
-        for name, value in arrays.items():
-            object.__setattr__(self, name, value)
 
 
 _U = np.finfo(np.float64).eps / 2  # unit roundoff
@@ -352,9 +315,8 @@ def _split_search(order, totals, feats_t, codes, min_leaf):
     (``_reference_gains``), so ties go to the lower attribute index and
     then the lower threshold.
 
-    Returns ``(nodes, gains, attrs, thresholds, left)``: one entry per
-    node that has a candidate, ascending, with the winner's left class
-    counts as the rows of ``left``.
+    Returns ``(nodes, gains, attrs, thresholds)``: one entry per node that
+    has a candidate, ascending.
 
     Every candidate is first scored from exact integer counts. With l_c and r_c
     the class counts left and right of a split of an m-row node, the Gini
@@ -468,7 +430,7 @@ def _split_search(order, totals, feats_t, codes, min_leaf):
     win = hits[np.diff(node[hits], prepend=-1) != 0]
     attrs, pos = attrs[win], pos[win]
     thresholds = (feats_t[attrs, order[attrs, pos]] + feats_t[attrs, order[attrs, pos + 1]]) / 2.0
-    return node[win], gains[win], attrs, thresholds, left[win]
+    return node[win], gains[win], attrs, thresholds
 
 
 def _grow(feats, codes, n_classes, max_depth, min_leaf) -> _TreeNode:
@@ -492,11 +454,22 @@ def _grow(feats, codes, n_classes, max_depth, min_leaf) -> _TreeNode:
     side = np.empty(len(codes), dtype=np.uint8)  # scratch, read only at the level's rows
     depth = 0
     while nodes:
-        which, gains, attrs, thresholds, left = _split_search(order, totals, feats_t, codes,
-                                                              min_leaf)
+        which, gains, attrs, thresholds = _split_search(order, totals, feats_t, codes, min_leaf)
         split = gains >= 0.0
-        which, attrs, thresholds, left = which[split], attrs[split], thresholds[split], left[split]
-        right = totals[which] - left
+        which, attrs, thresholds = which[split], attrs[split], thresholds[split]
+        # route the rows of every splitting node by the float test predict uses
+        split_of = np.full(len(totals), -1)
+        split_of[which] = np.arange(which.size)
+        split_of = np.repeat(split_of, totals.sum(axis=1))
+        rows = order[0][split_of >= 0]
+        split_of = split_of[split_of >= 0]
+        goes_right = ~(feats_t[attrs[split_of], rows] <= thresholds[split_of])
+        # the children's class counts from the rows as routed, not as sorted:
+        # a midpoint can round onto the upper value (adjacent doubles) or
+        # overflow to +-inf, and then rows change side
+        child = (2 * split_of + goes_right) * n_classes + codes[rows]
+        left, right = np.bincount(child, minlength=2 * n_classes * which.size).reshape(
+            -1, 2, n_classes).transpose(1, 0, 2)
         depth += 1
         grows_left = _splittable(left, depth, max_depth, min_leaf)
         grows_right = _splittable(right, depth, max_depth, min_leaf)
@@ -511,12 +484,6 @@ def _grow(feats, codes, n_classes, max_depth, min_leaf) -> _TreeNode:
         if not nodes:
             break
         # side of each row: 0 to a growing left child, 1 to a growing right one, else 2
-        split_of = np.full(len(totals), -1)
-        split_of[which] = np.arange(which.size)
-        split_of = np.repeat(split_of, totals.sum(axis=1))
-        rows = order[0][split_of >= 0]
-        split_of = split_of[split_of >= 0]
-        goes_right = ~(feats_t[attrs[split_of], rows] <= thresholds[split_of])
         grows = np.where(goes_right, grows_right[split_of], grows_left[split_of])
         side.fill(2)
         side[rows] = np.where(grows, goes_right, 2)
@@ -562,14 +529,13 @@ class DecisionTreeClassifier:
     def predict(self, features: np.ndarray) -> list:
         if self.model is None:
             raise ValidationError("fit before predict")
-        model = self.model
-        feats = _queries(features, model.dim)
-        rows = np.arange(len(feats))
-        at = np.zeros(len(feats), dtype=np.intp)
-        for _ in range(model.depth):
-            goes_left = feats[rows, model.attribute[at]] <= model.threshold[at]
-            at = np.where(goes_left, model.left[at], model.right[at])
-        return [model.classes[i] for i in model.prediction[at].tolist()]
+        preds = []
+        for z in _queries(features, self.model.dim).tolist():
+            node = self.model.root
+            while not node.is_leaf:
+                node = node.left if z[node.attribute] <= node.threshold else node.right
+            preds.append(self.model.classes[node.prediction])
+        return preds
 
 
 # short name -> classifier with its own defaults; only the SVM draws on the seed

