@@ -16,7 +16,13 @@ import csv
 import hashlib
 import json
 import math
+import os
+import shutil
+import signal
+import tempfile
+import traceback
 from collections import Counter
+from contextlib import ExitStack
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from pathlib import Path
@@ -146,8 +152,19 @@ class Dataset:
     labels: np.ndarray
 
     def __post_init__(self):
-        feats = np.array(self.features, dtype=np.float64)
-        labs = np.array(self.labels, dtype=object)
+        self._own(np.array(self.features, dtype=np.float64), np.array(self.labels, dtype=object))
+
+    @classmethod
+    def _adopt(cls, schema: Schema, features: np.ndarray, labels: np.ndarray) -> "Dataset":
+        """A dataset over fresh, C-contiguous float64 features and object
+        labels that no one else references, taken over without a copy."""
+        data = cls.__new__(cls)
+        object.__setattr__(data, "schema", schema)
+        data._own(features, labels)
+        return data
+
+    def _own(self, feats: np.ndarray, labs: np.ndarray) -> None:
+        """Check the arrays against the schema, freeze them and keep them."""
         if feats.ndim != 2:
             raise ValidationError("features must be a 2-D array")
         if feats.shape[0] != labs.shape[0]:
@@ -179,7 +196,7 @@ class Dataset:
     def select(self, indices) -> "Dataset":
         """New dataset containing the given record indices, in order."""
         idx = np.asarray(indices, dtype=np.intp)
-        return Dataset(self.schema, self.features[idx], self.labels[idx])
+        return Dataset._adopt(self.schema, self.features[idx], self.labels[idx])
 
 
 def concat_datasets(parts) -> Dataset:
@@ -191,7 +208,7 @@ def concat_datasets(parts) -> Dataset:
         raise ValidationError("all parts must share one schema")
     feats = np.concatenate([p.features for p in parts], axis=0)
     labs = np.concatenate([p.labels for p in parts], axis=0)
-    return Dataset(schema, feats, labs)
+    return Dataset._adopt(schema, feats, labs)
 
 
 def class_mask(labels: np.ndarray, label) -> np.ndarray:
@@ -283,8 +300,7 @@ def load_csv(path, schema: Schema) -> Dataset:
     if not features:
         raise EmptyFile(f"{path} has a header but no data rows")
     feats, labs = np.concatenate(features), np.concatenate(labels)
-    del features, labels  # free the chunks before Dataset copies the matrix
-    return Dataset(schema, feats, labs)
+    return Dataset._adopt(schema, feats, labs)
 
 
 def _records(reader):
@@ -344,7 +360,7 @@ def _convert(cells, width: int, numeric, label_idx: int, parsed: dict):
         return None
     table = np.array(cells, dtype=object).reshape(-1, width)
     try:
-        feats = table[:, numeric].astype(np.float64)  # float(cell), in C
+        feats = table[:, numeric].astype(np.float64, order="C")  # float(cell), in C code
     except ValueError:
         return None
     if not np.isfinite(feats).all():
@@ -404,23 +420,143 @@ def write_csv(data: Dataset, path) -> None:
     QUOTE_MINIMAL rule; rows end in CRLF. The rows are formatted and
     written in chunks of at most ``_CHUNK_CELLS`` cells, so no whole-table
     text or list is held.
+
+    The chunks are split into P contiguous ranges, P the smaller of the CPUs
+    this process may run on and half the number of chunks, so each range
+    holds at least two chunks. With P = 1 (a small table, one CPU, or no
+    ``os.fork``) this process writes every row. Otherwise ranges 2..P are
+    formatted by forked children, each into an unnamed temporary file in the
+    output's directory, while this process writes the header and range 1;
+    it then appends the temporary files in order. A child's ``OSError`` is
+    raised here with the child's errno and message; any other exception in
+    a child is a bug and raises ``RuntimeError`` carrying the child's
+    traceback. No child outlives the call: on any failure here the children
+    are killed and reaped.
     """
+    width = len(data.schema.columns)
+    size = max(1, _CHUNK_CELLS // width)
+    n_chunks = -(-len(data) // size)
+    procs = max(1, min(_available_cpus(), n_chunks // 2)) if hasattr(os, "fork") else 1
+    path = Path(path)
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(data.schema.column_names)
+        if procs == 1:
+            _write_rows(data, 0, len(data), fh)
+            return
+        # range i holds chunks [i * n_chunks // procs, (i + 1) * n_chunks // procs)
+        bounds = [min(len(data), i * n_chunks // procs * size) for i in range(procs + 1)]
+        with ExitStack() as stack:
+            parts = [stack.enter_context(tempfile.TemporaryFile(dir=path.parent))
+                     for _ in range(procs - 1)]
+            children = stack.enter_context(_Children())
+            for part, start, stop in zip(parts, bounds[1:], bounds[2:]):
+                children.fork(_write_part, data, start, stop, part.fileno())
+            _write_rows(data, 0, bounds[1], fh)
+            fh.flush()
+            for part in parts:
+                children.wait_next()
+                part.seek(0)
+                shutil.copyfileobj(part, fh.buffer)
+
+
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _write_rows(data: Dataset, start: int, stop: int, fh) -> None:
+    """Format rows ``start:stop`` into the text file ``fh``, one chunk at a time."""
     label_idx = data.schema.label_column
     width = len(data.schema.columns)
     size = max(1, _CHUNK_CELLS // width)
     quoted: dict = {}  # str(label) -> its cell text
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(data.schema.column_names)
-        for start in range(0, len(data), size):
-            texts = list(map(str, data.labels[start:start + size].tolist()))
-            quoted.update((t, _quote(t, width == 1)) for t in set(texts).difference(quoted))
-            lines = []
-            for values, text in zip(data.features[start:start + size].tolist(), texts):
-                cells = list(map(repr, values))
-                cells.insert(label_idx, quoted[text])
-                lines.append(",".join(cells))
-            lines.append("")
-            fh.write("\r\n".join(lines))
+    for first in range(start, stop, size):
+        last = min(first + size, stop)
+        texts = list(map(str, data.labels[first:last].tolist()))
+        quoted.update((t, _quote(t, width == 1)) for t in set(texts).difference(quoted))
+        lines = []
+        for values, text in zip(data.features[first:last].tolist(), texts):
+            cells = list(map(repr, values))
+            cells.insert(label_idx, quoted[text])
+            lines.append(",".join(cells))
+        lines.append("")
+        fh.write("\r\n".join(lines))
+
+
+def _write_part(data: Dataset, start: int, stop: int, fd: int) -> None:
+    with open(fd, "w", newline="", encoding="utf-8", closefd=False) as fh:
+        _write_rows(data, start, stop, fh)
+
+
+class _Children:
+    """Forked children that each run one call and report how it ended.
+
+    A child reports through its own pipe: nothing on success, else a JSON
+    ``[errno, message]`` for an ``OSError`` or the traceback text for any
+    other exception. It ends with ``os._exit``, so it never returns into the
+    caller's stack nor flushes the buffers it inherited. Leaving the context
+    kills and reaps every child not yet waited for.
+    """
+
+    def __init__(self):
+        self._pending: list = []  # (pid, read end of its pipe), oldest first
+
+    def fork(self, fn, *args) -> None:
+        read_fd, write_fd = os.pipe()
+        reader = open(read_fd, encoding="utf-8")
+        try:
+            pid = os.fork()
+        except BaseException:
+            reader.close()
+            os.close(write_fd)
+            raise
+        if pid == 0:
+            status = 1
+            try:
+                try:
+                    fn(*args)
+                    status = 0
+                except OSError as exc:
+                    report = [exc.errno, exc.strerror or str(exc)]
+                except BaseException:
+                    report = traceback.format_exc()
+                if status:
+                    with open(write_fd, "w", encoding="utf-8") as pipe:
+                        json.dump(report, pipe)
+            finally:
+                os._exit(status)
+        self._pending.append((pid, reader))
+        os.close(write_fd)
+
+    def wait_next(self) -> None:
+        """Reap the oldest pending child; raise what it reported."""
+        pid, pipe = self._pending[0]
+        report = pipe.read()  # ends when the child does
+        _, status = os.waitpid(pid, 0)
+        self._pending.pop(0)
+        pipe.close()
+        if report:
+            error = json.loads(report)
+            if isinstance(error, list):
+                raise OSError(*error) if error[0] is not None else OSError(error[1])
+            raise RuntimeError(f"a write_csv child failed:\n{error}")
+        if status:
+            raise RuntimeError(f"a write_csv child ended with wait status {status}")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        for pid, pipe in self._pending:
+            pipe.close()
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):  # reaped already
+                pass
+        self._pending.clear()
 
 
 def stratified_split(data: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

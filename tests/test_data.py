@@ -1,9 +1,12 @@
 import csv
+import errno
 import math
+import os
 
 import numpy as np
 import pytest
 
+from privsynth import cli, pipeline
 from privsynth import data as data_module
 from privsynth.data import (
     Dataset,
@@ -26,6 +29,8 @@ from privsynth.errors import (
     PrivsynthError,
     ValidationError,
 )
+from privsynth.noise import NoiseConfig
+from privsynth.smote import SmoteConfig
 from privsynth.surrogate import make_surrogate, surrogate_schema
 
 XY_SCHEMA = Schema((("x", "numeric"), ("y", "numeric"), ("label", "label")))
@@ -74,6 +79,25 @@ class TestDataset:
         data = small_dataset(["a", "b"])
         with pytest.raises(ValueError):
             data.features[0, 0] = 99.0
+
+    def test_caller_arrays_are_copied(self, tmp_path):
+        feats = np.arange(6.0).reshape(3, 2)
+        labels = np.array(["a", "b", "c"], dtype=object)
+        owned = Dataset(XY_SCHEMA, feats, labels)
+        viewed = Dataset(XY_SCHEMA, feats[::-1], labels[::-1])
+        feats[:] = 99.0
+        labels[:] = "z"
+        assert owned.features.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
+        assert owned.labels.tolist() == ["a", "b", "c"]
+        assert viewed.features.tolist() == [[4.0, 5.0], [2.0, 3.0], [0.0, 1.0]]
+        assert viewed.labels.tolist() == ["c", "b", "a"]
+        # what select, concat_datasets and load_csv hand over is frozen too
+        write_csv(owned, tmp_path / "t.csv")
+        for data in (owned.select([2, 0]), concat_datasets([owned, owned]),
+                     load_csv(tmp_path / "t.csv", XY_SCHEMA)):
+            assert not data.features.flags.writeable and not data.labels.flags.writeable
+            assert data.features.dtype == np.float64 and data.features.flags.c_contiguous
+            assert not np.shares_memory(data.features, owned.features)
 
     def test_class_counts(self):
         data = small_dataset(["a", "b", "a", "a"])
@@ -441,6 +465,134 @@ class TestWriterOracle:
         again = load_csv(tmp_path / "t.csv", XY_SCHEMA)
         assert [(type(v), v) for v in again.labels] == [
             (type(v), v) for v in map(data_module.parse_label, map(str, labels))]
+
+
+class PidLabel(int):
+    """An int label whose ``str`` raises in the process that made it
+    (``fail_home``) or else in every other process, as in a forked writer."""
+
+    def __new__(cls, value, fail_home=False, exit_code=None):
+        label = super().__new__(cls, value)
+        label.home, label.fail_home, label.exit_code = os.getpid(), fail_home, exit_code
+        return label
+
+    def __str__(self):
+        if (os.getpid() == self.home) == self.fail_home:
+            if self.exit_code is not None:
+                os._exit(self.exit_code)
+            raise ValueError("label cannot be formatted here")
+        return int.__str__(self)
+
+
+def unwritable_part(**kwargs):
+    """A stand-in for the writer's temporary files: every write fails with ENOSPC."""
+    return open("/dev/full", "r+b")
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the writer forks only with os.fork")
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+
+
+@needs_fork
+class TestParallelWriter:
+    """``write_csv`` split over forked writers: the same bytes, every failure
+    raised, no child process or temporary file left behind."""
+
+    @pytest.fixture
+    def ranges(self, monkeypatch):
+        """Force chunks of at most ``cells`` cells and ``cpus`` available CPUs."""
+        def force(cpus, cells=7):
+            monkeypatch.setattr(data_module, "_CHUNK_CELLS", cells)
+            monkeypatch.setattr(data_module, "_available_cpus", lambda: cpus)
+        return force
+
+    @pytest.mark.parametrize("schema", [XY_SCHEMA, LABEL_FIRST, Schema((("label", "label"),))],
+                             ids=["label-last", "label-first", "label-only"])
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_ranges_match_csv_writer(self, tmp_path, ranges, schema, cpus):
+        ranges(cpus)
+        data = TestWriterOracle().dataset(schema, 3 * len(ADVERSARIAL_LABELS))
+        write_csv(data, tmp_path / "new.csv")
+        reference_write_csv(data, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_empty_table(self, tmp_path, ranges):
+        ranges(8)
+        data = Dataset(XY_SCHEMA, np.empty((0, 2)), np.array([], dtype=object))
+        write_csv(data, tmp_path / "new.csv")
+        reference_write_csv(data, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_range_count(self, tmp_path, ranges, monkeypatch):
+        forks = []
+        real_fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        data = small_dataset(["a"] * 20)  # 2 rows a chunk: 10 chunks
+        for cpus, expected in [(1, 0), (2, 1), (5, 4), (8, 4)]:
+            ranges(cpus)
+            forks.clear()
+            write_csv(data, tmp_path / "t.csv")
+            assert len(forks) == expected
+        ranges(8)
+        forks.clear()
+        write_csv(data.select(range(7)), tmp_path / "t.csv")  # 4 chunks, the two-chunk floor
+        assert len(forks) == 1
+        write_csv(data.select(range(5)), tmp_path / "t.csv")  # 3 chunks: no fork
+        assert len(forks) == 1
+
+    @needs_dev_full
+    def test_oserror_in_a_child(self, tmp_path, ranges, monkeypatch):
+        ranges(2)
+        monkeypatch.setattr(data_module.tempfile, "TemporaryFile", unwritable_part)
+        with pytest.raises(OSError) as err:
+            write_csv(small_dataset(["a"] * 20), tmp_path / "out.csv")
+        assert err.value.errno == errno.ENOSPC
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    @needs_dev_full
+    def test_oserror_in_a_child_exits_2(self, tmp_path, ranges, monkeypatch):
+        data = make_surrogate(300, seed=2)
+        write_csv(data, tmp_path / "data.csv")
+        data.schema.save(tmp_path / "schema.json")
+        ranges(2, cells=24 * 20)
+        monkeypatch.setattr(data_module.tempfile, "TemporaryFile", unwritable_part)
+        code = cli.main(["synthesize", "--input", str(tmp_path / "data.csv"),
+                         "--schema", str(tmp_path / "schema.json"), "--minority-label", "12",
+                         "--classifiers", "nb", "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert os.listdir(tmp_path / "run") == ["released.csv"]
+
+    def test_bug_in_a_child_propagates_out_of_run_sweep(self, tmp_path, ranges, monkeypatch):
+        data = make_surrogate(300, seed=2)
+        write_csv(data, tmp_path / "data.csv")
+        data.schema.save(tmp_path / "schema.json")
+        relabelled = Dataset(data.schema, data.features, [PidLabel(v) for v in data.labels])
+        monkeypatch.setattr(pipeline, "load_csv", lambda path, schema: relabelled)
+        ranges(2, cells=24 * 20)
+        cfg = pipeline.PipelineConfig(
+            input=str(tmp_path / "data.csv"), schema=str(tmp_path / "schema.json"),
+            minority_label=12, smote=SmoteConfig(), noise=NoiseConfig(), classifiers=("nb",),
+            out_dir=str(tmp_path / "sweep"))
+        with pytest.raises(RuntimeError, match="ValueError: label cannot be formatted here"):
+            pipeline.run_sweep(cfg, pipeline.SweepGrid((0.3,), (100,), (2,)))
+        point = tmp_path / "sweep" / pipeline.point_dir_name(0.3, 100, 2)
+        assert os.listdir(point) == ["released.csv"]
+
+    def test_child_that_dies_without_a_report(self, tmp_path, ranges):
+        ranges(2)
+        data = small_dataset([PidLabel(1, exit_code=3)] * 20)
+        with pytest.raises(RuntimeError, match="wait status"):
+            write_csv(data, tmp_path / "out.csv")
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_parent_failure_reaps_the_children(self, tmp_path, ranges):
+        ranges(4)
+        data = small_dataset([PidLabel(1, fail_home=True)] * 20)
+        with pytest.raises(ValueError, match="label cannot be formatted here"):
+            write_csv(data, tmp_path / "out.csv")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert os.listdir(tmp_path) == ["out.csv"]
 
 
 class TestStratifiedSplit:
