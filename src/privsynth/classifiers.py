@@ -325,9 +325,8 @@ def _split_search(order, totals, feats_t, codes, min_leaf):
     the left side adds 2k + 1 to L2 = sum l_c^2 and 2k + 1 - 2 T_c to
     R2 = sum r_c^2, which starts at T2 = sum T_c^2 (T the node's class
     counts), so both are running sums over the sorted rows. One stable sort
-    of each attribute row by (node, class) gives every row its k: one radix
-    sort while nodes x classes fit 16 bits, else two, by class and then by
-    node. The running sums run along
+    of each attribute row by (node, class), a radix sort while nodes x
+    classes fit 16 bits, gives every row its k. The running sums run along
     the whole level row: a node's terms add up to T2 and -T2, so the
     previous node's total is taken back at the first row of each segment
     and every partial sum is the node's own, in [0, m^2] for L2 and in
@@ -374,17 +373,8 @@ def _split_search(order, totals, feats_t, codes, min_leaf):
     counts = totals.ravel()  # group g = node * C + class holds counts[g] rows
     group = codes[order].astype(np.min_scalar_type(counts.size - 1), copy=False)
     group += (node_of * n_classes).astype(group.dtype)
-    # flat (attribute, position) indices of the level, by attribute, group, position;
-    # numpy radix-sorts keys of at most 16 bits, so a wider level sorts by class
-    # and then stably by node
-    if counts.size <= 1 << 16:
-        by_group = np.argsort(group, axis=1, kind="stable")
-    else:
-        by_group = np.argsort(codes[order].astype(np.min_scalar_type(n_classes - 1)),
-                              axis=1, kind="stable")
-        by_node = node_of.astype(np.min_scalar_type(n_nodes - 1))[by_group]
-        by_group = np.take_along_axis(by_group, np.argsort(by_node, axis=1, kind="stable"),
-                                      axis=1)
+    # flat (attribute, position) indices of the level, by attribute, group, position
+    by_group = np.argsort(group, axis=1, kind="stable")
     by_group += np.arange(0, d * n, n)[:, None]
     start = np.cumsum(counts) - counts
     t2 = np.einsum("kc,kc->k", totals, totals).astype(np.float64)

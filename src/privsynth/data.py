@@ -152,19 +152,8 @@ class Dataset:
     labels: np.ndarray
 
     def __post_init__(self):
-        self._own(np.array(self.features, dtype=np.float64), np.array(self.labels, dtype=object))
-
-    @classmethod
-    def _adopt(cls, schema: Schema, features: np.ndarray, labels: np.ndarray) -> "Dataset":
-        """A dataset over fresh, C-contiguous float64 features and object
-        labels that no one else references, taken over without a copy."""
-        data = cls.__new__(cls)
-        object.__setattr__(data, "schema", schema)
-        data._own(features, labels)
-        return data
-
-    def _own(self, feats: np.ndarray, labs: np.ndarray) -> None:
-        """Check the arrays against the schema, freeze them and keep them."""
+        feats = np.array(self.features, dtype=np.float64)
+        labs = np.array(self.labels, dtype=object)
         if feats.ndim != 2:
             raise ValidationError("features must be a 2-D array")
         if feats.shape[0] != labs.shape[0]:
@@ -196,7 +185,7 @@ class Dataset:
     def select(self, indices) -> "Dataset":
         """New dataset containing the given record indices, in order."""
         idx = np.asarray(indices, dtype=np.intp)
-        return Dataset._adopt(self.schema, self.features[idx], self.labels[idx])
+        return Dataset(self.schema, self.features[idx], self.labels[idx])
 
 
 def concat_datasets(parts) -> Dataset:
@@ -208,7 +197,7 @@ def concat_datasets(parts) -> Dataset:
         raise ValidationError("all parts must share one schema")
     feats = np.concatenate([p.features for p in parts], axis=0)
     labs = np.concatenate([p.labels for p in parts], axis=0)
-    return Dataset._adopt(schema, feats, labs)
+    return Dataset(schema, feats, labs)
 
 
 def class_mask(labels: np.ndarray, label) -> np.ndarray:
@@ -237,6 +226,11 @@ def parse_label(cell: str):
 # cells per codec chunk (1365 rows of the 24-column sensor table):
 # load_csv and write_csv hold one chunk of text at a time, never the file
 _CHUNK_CELLS = 1 << 15
+
+# most processes write_csv formats in: the count measured to pay, on 2 CPUs;
+# more are unmeasured in time, memory and temporary disk, and a CPU quota
+# can leave them less CPU than the affinity mask shows
+_MAX_WRITERS = 2
 
 
 def load_csv(path, schema: Schema) -> Dataset:
@@ -300,7 +294,8 @@ def load_csv(path, schema: Schema) -> Dataset:
     if not features:
         raise EmptyFile(f"{path} has a header but no data rows")
     feats, labs = np.concatenate(features), np.concatenate(labels)
-    return Dataset._adopt(schema, feats, labs)
+    del features, labels  # free the chunks before Dataset copies the matrix
+    return Dataset(schema, feats, labs)
 
 
 def _records(reader):
@@ -360,7 +355,7 @@ def _convert(cells, width: int, numeric, label_idx: int, parsed: dict):
         return None
     table = np.array(cells, dtype=object).reshape(-1, width)
     try:
-        feats = table[:, numeric].astype(np.float64, order="C")  # float(cell), in C code
+        feats = table[:, numeric].astype(np.float64)  # float(cell), in C
     except ValueError:
         return None
     if not np.isfinite(feats).all():
@@ -421,22 +416,22 @@ def write_csv(data: Dataset, path) -> None:
     written in chunks of at most ``_CHUNK_CELLS`` cells, so no whole-table
     text or list is held.
 
-    The chunks are split into P contiguous ranges, P the smaller of the CPUs
-    this process may run on and half the number of chunks, so each range
-    holds at least two chunks. With P = 1 (a small table, one CPU, or no
-    ``os.fork``) this process writes every row. Otherwise ranges 2..P are
-    formatted by forked children, each into an unnamed temporary file in the
-    output's directory, while this process writes the header and range 1;
-    it then appends the temporary files in order. A child's ``OSError`` is
-    raised here with the child's errno and message; any other exception in
-    a child is a bug and raises ``RuntimeError`` carrying the child's
-    traceback. No child outlives the call: on any failure here the children
-    are killed and reaped.
+    The chunks are split into P contiguous ranges, P the smallest of the
+    CPUs this process may run on, ``_MAX_WRITERS`` and half the number of
+    chunks, so each range holds at least two chunks. With P = 1 (a small
+    table, one CPU, or no ``os.fork``) this process writes every row.
+    Otherwise ranges 2..P are formatted by forked children, each into an
+    unnamed temporary file in the output's directory, while this process
+    writes the header and range 1; it then appends the temporary files in
+    order. A child's ``OSError`` is raised here with the child's errno and
+    message; any other exception in a child is a bug and raises
+    ``RuntimeError`` carrying the child's traceback. No child outlives the
+    call: on any failure here the children are killed and reaped.
     """
     width = len(data.schema.columns)
     size = max(1, _CHUNK_CELLS // width)
     n_chunks = -(-len(data) // size)
-    procs = max(1, min(_available_cpus(), n_chunks // 2)) if hasattr(os, "fork") else 1
+    procs = max(1, min(_available_cpus(), _MAX_WRITERS, n_chunks // 2)) if hasattr(os, "fork") else 1
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(data.schema.column_names)

@@ -545,7 +545,7 @@ class TestDecisionTree:
     def test_wide_level_matches_reference_grower(self, monkeypatch):
         # all 512 rows of 9 binary attributes, 300 classes: the tree is
         # perfect, and 256 nodes x 300 classes at depth 8 exceed a 16-bit
-        # sort key, so the level sorts by class and then by node
+        # sort key, so the (node, class) sort leaves numpy's radix path
         idx = np.arange(512)
         train = table((idx[:, None] >> np.arange(9)) & 1, (idx % 300).tolist())
         shapes = self.count_searches(monkeypatch)
