@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 import os
 import shutil
 import signal
+import stat
 import tempfile
 import traceback
 from collections import Counter
@@ -227,10 +229,13 @@ def parse_label(cell: str):
 # load_csv and write_csv hold one chunk of text at a time, never the file
 _CHUNK_CELLS = 1 << 15
 
-# most processes write_csv formats in: the count measured to pay, on 2 CPUs;
-# more are unmeasured in time, memory and temporary disk, and a CPU quota
-# can leave them less CPU than the affinity mask shows
-_MAX_WRITERS = 2
+# most processes load_csv or write_csv runs in: the count measured to pay,
+# on 2 CPUs; more are unmeasured in time, memory and temporary disk, and a
+# CPU quota can leave them less CPU than the affinity mask shows
+_MAX_PROCS = 2
+
+# bytes load_csv reads at a time from a range of its input
+_WINDOW = 1 << 16
 
 
 def load_csv(path, schema: Schema) -> Dataset:
@@ -249,8 +254,26 @@ def load_csv(path, schema: Schema) -> Dataset:
     values are bit-identical to ``float()``, underscores and padding included.
     Each distinct label text goes through :func:`parse_label` once. A chunk
     that fails a check is re-run cell by cell to raise its first offending
-    cell. Transient memory is bounded by the chunk; the result holds the
-    float64 matrix and the labels.
+    cell. The text is held one chunk at a time, but the converted chunks are
+    all kept and then copied into one column-major matrix, which the
+    ``Dataset`` copies again: the peak is about twice the float64 matrix.
+
+    The data rows of a regular file are split into P contiguous byte ranges,
+    P the smallest of the CPUs this process may run on, ``_MAX_PROCS`` and
+    half the estimated number of chunks, so each range holds at least two
+    chunks. Each range after the first starts just past a line feed, which
+    always ends a line and never falls inside a UTF-8 sequence. This process
+    parses range 1 while forked children parse ranges 2..P, each through a
+    window of ``_WINDOW`` bytes, and send back their rows, label codes and
+    label texts through a pipe. When a range meets a ``"``, a chunk that fails
+    a check or bytes that are not UTF-8, the children are killed and the rows
+    are read serially from the header on, which gives exactly the result or
+    the error described above. P = 1, a serial read, covers an input that
+    is not a regular file (a pipe), a header line with a ``"``, a table of
+    under four chunks, one CPU, no ``os.fork``, and a file without a line feed
+    where a range should start (lines ended by CR alone). A child's
+    ``OSError`` is raised here with its errno and message; any other failure
+    in a child raises ``RuntimeError``. No child outlives the call.
 
     Raises:
         EmptyFile: no header or no data rows.
@@ -263,10 +286,6 @@ def load_csv(path, schema: Schema) -> Dataset:
     path = Path(path)
     expected = schema.column_names
     label_idx = schema.label_column
-    numeric = np.array([i for i in range(len(expected)) if i != label_idx], dtype=np.intp)
-    parsed: dict = {}  # label text -> parse_label(text)
-    features, labels = [], []
-    row = 2
     try:
         with path.open(newline="", encoding="utf-8") as fh:
             header = next(_records(csv.reader(fh)), None)
@@ -280,22 +299,177 @@ def load_csv(path, schema: Schema) -> Dataset:
                     (h for h, e in zip(header, expected) if h != e), header[len(expected)] if len(header) > len(expected) else expected[-1]
                 )
                 raise MissingColumn(offender, f"header {header!r} does not match schema {expected!r}")
-
-            for records, cells in _chunks(fh, len(expected)):
-                chunk = _convert(cells, len(expected), numeric, label_idx, parsed)
-                if chunk is None:
-                    _raise_first_bad_cell(records, row, expected, label_idx)
-                features.append(chunk[0])
-                labels.append(chunk[1])
-                row += len(chunk[0])
+            parts = _read_ranges(fh, expected, label_idx)
+            if parts is None:
+                parts = [_read_range(fh, expected, label_idx, whole=True)]
     except UnicodeDecodeError as exc:
         raise MalformedCsv(None, f"{path} is not UTF-8 ({exc.reason})") from None
 
-    if not features:
+    stacked = _stack(parts, schema.dim)
+    del parts  # free the chunks before Dataset copies the matrix
+    if stacked is None:
         raise EmptyFile(f"{path} has a header but no data rows")
-    feats, labs = np.concatenate(features), np.concatenate(labels)
-    del features, labels  # free the chunks before Dataset copies the matrix
-    return Dataset(schema, feats, labs)
+    return Dataset(schema, *stacked)
+
+
+def _stack(parts, dim: int):
+    """The features and labels of :func:`_read_range` results: one float64
+    matrix, column-major as each chunk's cast leaves it, and the labels, each
+    distinct text through :func:`parse_label` once. None when there are no
+    rows."""
+    parsed: dict = {}  # label text -> parse_label(text)
+    features, labels = [], []
+    for chunks, codes, texts in parts:
+        parsed.update((t, parse_label(t)) for t in set(texts).difference(parsed))
+        values = np.array([parsed[t] for t in texts], dtype=object)
+        features += chunks
+        labels += [values[c] for c in codes]
+    if not features:
+        return None
+    return (np.concatenate(features, out=np.empty((sum(map(len, features)), dim), order="F")),
+            np.concatenate(labels))
+
+
+class _ReadSerially(Exception):
+    """A range of the input holds what only a serial read can parse or report."""
+
+
+def _read_range(fh, expected: list, label_idx: int, whole: bool):
+    """The data rows of the text stream ``fh`` as ``(features, codes,
+    texts)``: each chunk's float64 rows and int32 label codes, and the label
+    texts in code order.
+
+    ``whole`` says ``fh`` holds every data row after the header. Then a
+    chunk with a ``"`` hands the rest to ``csv.reader``, and a chunk that
+    fails a check raises its first offending cell. Otherwise both raise
+    :class:`_ReadSerially`, since a quoted field may run on into the next
+    range and the rows before the range are not counted.
+    """
+    width = len(expected)
+    numeric = np.array([i for i in range(width) if i != label_idx], dtype=np.intp)
+    codes: dict = {}  # label text -> its code
+    features, labels = [], []
+    row = 2
+    for records, cells in _chunks(fh, width, whole):
+        chunk = _convert(cells, width, numeric, label_idx, codes)
+        if chunk is None:
+            if not whole:
+                raise _ReadSerially
+            _raise_first_bad_cell(records, row, expected, label_idx)
+        features.append(chunk[0])
+        labels.append(chunk[1])
+        row += len(chunk[0])
+    return features, labels, list(codes)
+
+
+def _read_ranges(fh, expected: list, label_idx: int):
+    """The data rows of ``fh`` read in P > 1 ranges, ranges 2..P in forked
+    children, as a list of :func:`_read_range` results; None when they are
+    to be read serially."""
+    fd = fh.fileno()
+    bounds = _range_starts(fd, len(expected))
+    if bounds is None:
+        return None
+    with _Children("load_csv") as children:
+        for start, stop in zip(bounds[1:], [*bounds[2:], None]):
+            children.fork(_read_part, fd, start, stop, expected, label_idx)
+        try:
+            with _range_text(fd, bounds[0], bounds[1]) as part:
+                parts = [_read_range(part, expected, label_idx, whole=False)]
+        except (_ReadSerially, UnicodeDecodeError):
+            return None
+        for _ in bounds[1:]:
+            parts.append(children.wait_next(lambda pipe: _receive_part(pipe, len(expected) - 1)))
+            if parts[-1] is None:
+                return None
+    return parts
+
+
+def _range_starts(fd: int, width: int):
+    """The byte offsets at which the P ranges of the data rows start, or None
+    when P is 1 or the rows are not to be split.
+
+    The chunk count is estimated from the line feeds in the first window of
+    data rows. Range i starts past the first line feed at or after i / P of
+    the data bytes, found within one window.
+    """
+    info = os.fstat(fd)
+    if not hasattr(os, "fork") or not stat.S_ISREG(info.st_mode):
+        return None
+    head = os.pread(fd, _WINDOW, 0)
+    end = min((i for i in (head.find(b"\r"), head.find(b"\n")) if i >= 0), default=len(head))
+    if end + 1 >= len(head) or b'"' in head[:end]:
+        return None
+    start = end + (2 if head[end:end + 2] == b"\r\n" else 1)
+    size = info.st_size - start
+    sample = os.pread(fd, _WINDOW, start)
+    rows = sample.count(b"\n") * size / max(1, len(sample))
+    procs = min(_available_cpus(), _MAX_PROCS, math.ceil(rows / max(1, _CHUNK_CELLS // width)) // 2)
+    starts = [start]
+    for i in range(1, procs):
+        target = start + i * size // procs
+        lf = os.pread(fd, _WINDOW, target).find(b"\n")
+        if lf < 0 or not starts[-1] < target + lf + 1 < info.st_size:
+            return None
+        starts.append(target + lf + 1)
+    return starts if procs > 1 else None
+
+
+class _Range(io.RawIOBase):
+    """Bytes ``start:stop`` of the open file ``fd``, to its end when ``stop``
+    is None. It reads with ``os.pread``, so it shares no file offset with the
+    processes ``fd`` is open in."""
+
+    def __init__(self, fd: int, start: int, stop):
+        self._fd, self._pos, self._stop = fd, start, stop
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = len(buffer) if self._stop is None else min(len(buffer), self._stop - self._pos)
+        data = os.pread(self._fd, n, self._pos)
+        buffer[:len(data)] = data
+        self._pos += len(data)
+        return len(data)
+
+
+def _range_text(fd: int, start: int, stop):
+    """A byte range of ``fd`` as the text stream ``load_csv`` reads."""
+    return io.TextIOWrapper(io.BufferedReader(_Range(fd, start, stop), _WINDOW),
+                            encoding="utf-8", newline="")
+
+
+def _read_part(fd: int, start: int, stop, expected: list, label_idx: int):
+    """Parse one range in a forked child; return what :func:`_receive_part`
+    reads: a JSON line ``[rows, texts]``, or ``null`` when the rows are to be
+    read serially, then the float64 rows and the int32 label codes."""
+    try:
+        with _range_text(fd, start, stop) as fh:
+            features, codes, texts = _read_range(fh, expected, label_idx, whole=False)
+    except (_ReadSerially, UnicodeDecodeError):
+        return [b"null\n"]
+    meta = json.dumps([sum(map(len, features)), texts]).encode() + b"\n"
+    return chain([meta], map(np.ascontiguousarray, features), codes)
+
+
+def _receive_part(pipe, dim: int):
+    """A :func:`_read_range` result from what :func:`_read_part` sent, or None."""
+    line = pipe.readline()
+    if not line:
+        raise EOFError
+    if (meta := json.loads(line)) is None:
+        return None
+    rows, texts = meta
+    features, codes = np.empty((rows, dim)), np.empty(rows, dtype=np.int32)
+    for array in (features, codes):
+        view = memoryview(array.reshape(-1).view(np.uint8))
+        while view:
+            n = pipe.readinto(view)
+            if not n:
+                raise EOFError
+            view = view[n:]
+    return [features], [codes], texts
 
 
 def _records(reader):
@@ -311,7 +485,7 @@ def _records(reader):
             return
 
 
-def _chunks(fh, width: int):
+def _chunks(fh, width: int, whole: bool):
     """The data rows of ``fh`` as chunks of ``(records, cells)``.
 
     ``records`` gives the chunk's rows as :func:`_records` does, for the
@@ -322,7 +496,9 @@ def _chunks(fh, width: int):
     The ``newline=""`` file splits lines at CR, LF and CRLF, as
     ``csv.reader`` does, so a quote-free line is one record and one
     ``split(",")`` tokenizes the chunk. From the first chunk holding a ``"``,
-    that chunk and the rest of the file go to ``csv.reader``.
+    that chunk and the rest of the file go to ``csv.reader`` when ``fh`` is
+    ``whole`` (see :func:`_read_range`); otherwise it raises
+    :class:`_ReadSerially`.
     """
     size = max(1, _CHUNK_CELLS // width)
     limit = csv.field_size_limit()
@@ -330,6 +506,8 @@ def _chunks(fh, width: int):
         stripped = [line.rstrip("\r\n") for line in lines]
         text = ",".join(stripped)
         if '"' in text:
+            if not whole:
+                raise _ReadSerially
             break
         # csv.reader gives a blank line no cells, and a quote-free line one
         # more cell than it has commas
@@ -347,10 +525,10 @@ def _chunks(fh, width: int):
         yield chunk, list(chain.from_iterable(chunk)) if whole else None
 
 
-def _convert(cells, width: int, numeric, label_idx: int, parsed: dict):
-    """One chunk's ``(features, labels)`` from its flat cells, or None when a
-    cell breaks the per-cell rule of :func:`_raise_first_bad_cell`. New label
-    texts are parsed into ``parsed``."""
+def _convert(cells, width: int, numeric, label_idx: int, codes: dict):
+    """One chunk's ``(features, label codes)`` from its flat cells, or None
+    when a cell breaks the per-cell rule of :func:`_raise_first_bad_cell`.
+    New label texts are given the next codes in ``codes``."""
     if cells is None:
         return None
     table = np.array(cells, dtype=object).reshape(-1, width)
@@ -361,11 +539,11 @@ def _convert(cells, width: int, numeric, label_idx: int, parsed: dict):
     if not np.isfinite(feats).all():
         return None
     texts = table[:, label_idx].tolist()
-    new = set(texts).difference(parsed)
+    new = set(texts).difference(codes)
     if not all(map(str.strip, new)):
         return None
-    parsed.update(zip(new, map(parse_label, new)))
-    return feats, np.array(list(map(parsed.__getitem__, texts)), dtype=object)
+    codes.update(zip(new, range(len(codes), len(codes) + len(new))))
+    return feats, np.array(list(map(codes.__getitem__, texts)), dtype=np.int32)
 
 
 def _raise_first_bad_cell(records, row: int, expected: list, label_idx: int):
@@ -417,7 +595,7 @@ def write_csv(data: Dataset, path) -> None:
     text or list is held.
 
     The chunks are split into P contiguous ranges, P the smallest of the
-    CPUs this process may run on, ``_MAX_WRITERS`` and half the number of
+    CPUs this process may run on, ``_MAX_PROCS`` and half the number of
     chunks, so each range holds at least two chunks. With P = 1 (a small
     table, one CPU, or no ``os.fork``) this process writes every row.
     Otherwise ranges 2..P are formatted by forked children, each into an
@@ -431,7 +609,7 @@ def write_csv(data: Dataset, path) -> None:
     width = len(data.schema.columns)
     size = max(1, _CHUNK_CELLS // width)
     n_chunks = -(-len(data) // size)
-    procs = max(1, min(_available_cpus(), _MAX_WRITERS, n_chunks // 2)) if hasattr(os, "fork") else 1
+    procs = max(1, min(_available_cpus(), _MAX_PROCS, n_chunks // 2)) if hasattr(os, "fork") else 1
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(data.schema.column_names)
@@ -443,7 +621,7 @@ def write_csv(data: Dataset, path) -> None:
         with ExitStack() as stack:
             parts = [stack.enter_context(tempfile.TemporaryFile(dir=path.parent))
                      for _ in range(procs - 1)]
-            children = stack.enter_context(_Children())
+            children = stack.enter_context(_Children("write_csv"))
             for part, start, stop in zip(parts, bounds[1:], bounds[2:]):
                 children.fork(_write_part, data, start, stop, part.fileno())
             _write_rows(data, 0, bounds[1], fh)
@@ -486,21 +664,24 @@ def _write_part(data: Dataset, start: int, stop: int, fd: int) -> None:
 
 
 class _Children:
-    """Forked children that each run one call and report how it ended.
+    """Forked children that each run one call and send back how it ended.
 
-    A child reports through its own pipe: nothing on success, else a JSON
-    ``[errno, message]`` for an ``OSError`` or the traceback text for any
-    other exception. It ends with ``os._exit``, so it never returns into the
+    A child writes one JSON line to its own pipe: ``null`` when the call
+    returned, then the byte strings it returned, if any; else ``[errno,
+    message]`` for an ``OSError`` or the traceback text for any other
+    exception. It ends with ``os._exit``, so it never returns into the
     caller's stack nor flushes the buffers it inherited. Leaving the context
-    kills and reaps every child not yet waited for.
+    kills and reaps every child not yet waited for. ``name`` is the function
+    that forks, for the error texts.
     """
 
-    def __init__(self):
+    def __init__(self, name: str):
+        self._name = name
         self._pending: list = []  # (pid, read end of its pipe), oldest first
 
     def fork(self, fn, *args) -> None:
         read_fd, write_fd = os.pipe()
-        reader = open(read_fd, encoding="utf-8")
+        reader = open(read_fd, "rb")
         try:
             pid = os.fork()
         except BaseException:
@@ -510,35 +691,45 @@ class _Children:
         if pid == 0:
             status = 1
             try:
-                try:
-                    fn(*args)
-                    status = 0
-                except OSError as exc:
-                    report = [exc.errno, exc.strerror or str(exc)]
-                except BaseException:
-                    report = traceback.format_exc()
-                if status:
-                    with open(write_fd, "w", encoding="utf-8") as pipe:
-                        json.dump(report, pipe)
+                reader.close()  # a write to a pipe no one reads fails, never blocks
+                with open(write_fd, "wb") as pipe:
+                    report, payload = None, ()
+                    try:
+                        payload = fn(*args) or ()
+                    except OSError as exc:
+                        report = [exc.errno, exc.strerror or str(exc)]
+                    except BaseException:
+                        report = traceback.format_exc()
+                    pipe.write(json.dumps(report).encode() + b"\n")
+                    pipe.writelines(payload)
+                status = 0 if report is None else 1
             finally:
                 os._exit(status)
         self._pending.append((pid, reader))
         os.close(write_fd)
 
-    def wait_next(self) -> None:
-        """Reap the oldest pending child; raise what it reported."""
+    def wait_next(self, receive=None):
+        """Reap the oldest pending child and raise what it reported; else
+        return what ``receive`` reads of what it sent."""
         pid, pipe = self._pending[0]
-        report = pipe.read()  # ends when the child does
+        report = pipe.readline()
+        result = None
+        if report == b"null\n" and receive is not None:
+            try:
+                result = receive(pipe)
+            except EOFError:  # the child ended while sending
+                report = b""
         _, status = os.waitpid(pid, 0)
         self._pending.pop(0)
         pipe.close()
-        if report:
+        if report and report != b"null\n":
             error = json.loads(report)
             if isinstance(error, list):
                 raise OSError(*error) if error[0] is not None else OSError(error[1])
-            raise RuntimeError(f"a write_csv child failed:\n{error}")
-        if status:
-            raise RuntimeError(f"a write_csv child ended with wait status {status}")
+            raise RuntimeError(f"a {self._name} child failed:\n{error}")
+        if status or not report:
+            raise RuntimeError(f"a {self._name} child ended with wait status {status}")
+        return result
 
     def __enter__(self):
         return self

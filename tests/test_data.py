@@ -2,6 +2,7 @@ import csv
 import errno
 import math
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -482,24 +483,34 @@ def unwritable_part(**kwargs):
     return open("/dev/full", "r+b")
 
 
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the writer forks only with os.fork")
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the codec forks only with os.fork")
 needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+
+
+@pytest.fixture
+def ranges(monkeypatch):
+    """Force chunks of at most ``cells`` cells and ``cpus`` available CPUs,
+    each of which may read or format a range."""
+    def force(cpus, cells=7):
+        monkeypatch.setattr(data_module, "_CHUNK_CELLS", cells)
+        monkeypatch.setattr(data_module, "_available_cpus", lambda: cpus)
+        monkeypatch.setattr(data_module, "_MAX_PROCS", cpus)
+    return force
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The ``os.fork`` calls made in this process from here on."""
+    calls = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or real_fork())
+    return calls
 
 
 @needs_fork
 class TestParallelWriter:
     """``write_csv`` split over forked writers: the same bytes, every failure
     raised, no child process or temporary file left behind."""
-
-    @pytest.fixture
-    def ranges(self, monkeypatch):
-        """Force chunks of at most ``cells`` cells and ``cpus`` available CPUs,
-        each of which may format a range."""
-        def force(cpus, cells=7):
-            monkeypatch.setattr(data_module, "_CHUNK_CELLS", cells)
-            monkeypatch.setattr(data_module, "_available_cpus", lambda: cpus)
-            monkeypatch.setattr(data_module, "_MAX_WRITERS", cpus)
-        return force
 
     @pytest.mark.parametrize("schema", [XY_SCHEMA, LABEL_FIRST, Schema((("label", "label"),))],
                              ids=["label-last", "label-first", "label-only"])
@@ -518,11 +529,8 @@ class TestParallelWriter:
         reference_write_csv(data, tmp_path / "old.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
-    def test_range_count(self, tmp_path, ranges, monkeypatch):
-        max_writers = data_module._MAX_WRITERS
-        forks = []
-        real_fork = os.fork
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    def test_range_count(self, tmp_path, ranges, forks, monkeypatch):
+        max_procs = data_module._MAX_PROCS
         data = small_dataset(["a"] * 20)  # 2 rows a chunk: 10 chunks
         for cpus, expected in [(1, 0), (2, 1), (5, 4), (8, 4)]:
             ranges(cpus)
@@ -536,10 +544,10 @@ class TestParallelWriter:
         write_csv(data.select(range(5)), tmp_path / "t.csv")  # 3 chunks: no fork
         assert len(forks) == 1
         ranges(64)
-        monkeypatch.setattr(data_module, "_MAX_WRITERS", max_writers)
+        monkeypatch.setattr(data_module, "_MAX_PROCS", max_procs)
         forks.clear()
-        write_csv(data, tmp_path / "t.csv")  # 64 CPUs, 10 chunks: _MAX_WRITERS ranges
-        assert len(forks) == max_writers - 1
+        write_csv(data, tmp_path / "t.csv")  # 64 CPUs, 10 chunks: _MAX_PROCS ranges
+        assert len(forks) == max_procs - 1
 
     @needs_dev_full
     def test_oserror_in_a_child(self, tmp_path, ranges, monkeypatch):
@@ -594,6 +602,244 @@ class TestParallelWriter:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         assert os.listdir(tmp_path) == ["out.csv"]
+
+
+# int labels and labels that must stay strings, on every side of each split
+READER_LABELS = ["a", "7", "007", "-0", "12", "b"]
+# a field longer than this makes csv.reader fail (see `small_field_limit`)
+SMALL_FIELD_LIMIT = 64
+
+
+# 800 rows of 2-row chunks make 400 chunks and about 16 kB, so the header's
+# read (8 kB of text) ends before row 500, which lies outside range 1 for 2,
+# 3 and 8 ranges; row 80 lies inside it
+N_ROWS, IN_RANGE_1, IN_RANGE_2 = 800, 80, 500
+
+
+def reader_rows():
+    return [f"{i * 0.25!r},{-i / 3!r},{READER_LABELS[i % len(READER_LABELS)]}" for i in range(N_ROWS)]
+
+
+def replaced(rows, at: dict):
+    """``rows`` with each row ``i`` in ``at`` replaced by ``at[i]``."""
+    return [at.get(i, row) for i, row in enumerate(rows)]
+
+
+def lf(rows):
+    return "\n".join(rows) + "\n"
+
+
+# the data rows after the header, from reader_rows()
+READER_CASES = {
+    "LF": lf,
+    "CRLF": lambda r: "\r\n".join(r) + "\r\n",
+    "lone CR": lambda r: "\r".join(r) + "\r",
+    "mixed terminators": lambda r: "".join(row + ["\n", "\r\n", "\r"][i % 3] for i, row in enumerate(r)),
+    "no final terminator": lambda r: "\n".join(r),
+    "blank line in range 2": lambda r: lf(replaced(r, {IN_RANGE_2: ""})),
+    "bad cell in range 2": lambda r: lf(replaced(r, {IN_RANGE_2: "1.0,oops,a"})),
+    "wrong-width row in range 2": lambda r: lf(replaced(r, {IN_RANGE_2: "1.0,a"})),
+    "bad cells in ranges 1 and 2": lambda r: lf(replaced(r, {IN_RANGE_1: "1.0,x,a", IN_RANGE_2: "y,1.0,a"})),
+    "quote in range 2": lambda r: lf(replaced(r, {IN_RANGE_2: '1.0,2.0,"q,\nr"'})),
+    "over-long field in range 2": lambda r: lf(replaced(r, {IN_RANGE_2: "1.0,2.0," + "b" * (SMALL_FIELD_LIMIT + 1)})),
+    "non-UTF-8 byte in range 2": lambda r: lf(replaced(r, {IN_RANGE_2: "1.0,2.0,\udcff"})),
+}
+
+
+@pytest.fixture
+def small_field_limit():
+    old = csv.field_size_limit(SMALL_FIELD_LIMIT)
+    yield
+    csv.field_size_limit(old)
+
+
+def fail_pread_in_children(monkeypatch, exit_code=None):
+    """Make ``os.pread`` raise ``OSError(EIO)``, or end the process with
+    ``exit_code``, in every process but this one."""
+    real, pid = os.pread, os.getpid()
+
+    def failing(*args):
+        if os.getpid() != pid:
+            if exit_code is not None:
+                os._exit(exit_code)
+            raise OSError(errno.EIO, "simulated read error")
+        return real(*args)
+    monkeypatch.setattr(os, "pread", failing)
+
+
+def fail_to_convert(monkeypatch, home):
+    """Make the chunk conversion raise ValueError only in this process
+    (``home``) or only in other processes."""
+    real, pid = data_module._convert, os.getpid()
+
+    def failing(*args):
+        if (os.getpid() == pid) == home:
+            raise ValueError("chunk cannot be converted here")
+        return real(*args)
+    monkeypatch.setattr(data_module, "_convert", failing)
+
+
+@needs_fork
+class TestParallelReader:
+    """``load_csv`` split over forked readers: the same values and label
+    types, or the same error as a serial read; every failure raised and no
+    child left behind."""
+
+    def write(self, tmp_path, body: str, schema=XY_SCHEMA):
+        path = tmp_path / "t.csv"
+        path.write_bytes((",".join(schema.column_names) + "\r\n" + body)
+                         .encode("utf-8", "surrogateescape"))
+        return path
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    @pytest.mark.parametrize("case", sorted(READER_CASES))
+    def test_ranges_match_the_reference(self, tmp_path, ranges, forks, small_field_limit, case, cpus):
+        path = self.write(tmp_path, READER_CASES[case](reader_rows()))
+        try:
+            want = outcome(reference_load_csv, path, XY_SCHEMA)
+        except (csv.Error, UnicodeDecodeError):  # the serial read's MalformedCsv
+            ranges(1)
+            want = outcome(load_csv, path, XY_SCHEMA)
+            assert want[0] is MalformedCsv
+        ranges(cpus)
+        forks.clear()
+        assert outcome(load_csv, path, XY_SCHEMA) == want
+        assert len(forks) == (0 if case == "lone CR" else cpus - 1)  # no LF to split after
+
+    @pytest.mark.parametrize("cpus", [2, 3, 8])
+    def test_quoted_field_across_a_split(self, tmp_path, ranges, forks, cpus):
+        # a quoted label whose lines parse as rows, from range 1 into the next
+        rows = reader_rows()
+        field = '"' + "\n".join(rows).replace("a", "c") + '"'
+        path = self.write(tmp_path, lf(replaced(rows, {IN_RANGE_1: f"1.0,2.0,{field}"})))
+        ranges(cpus)
+        got = outcome(load_csv, path, XY_SCHEMA)
+        assert len(forks) == cpus - 1
+        assert got == outcome(reference_load_csv, path, XY_SCHEMA)
+        assert got[0] == (N_ROWS, 2)
+
+    @pytest.mark.parametrize("schema", [LABEL_FIRST, Schema((("label", "label"),))],
+                             ids=["label-first", "label-only"])
+    def test_other_label_positions(self, tmp_path, ranges, forks, schema):
+        rows = [",".join([row.rsplit(",", 1)[1], *row.split(",")[:schema.dim]])
+                for row in reader_rows()]
+        path = self.write(tmp_path, lf(rows), schema)
+        ranges(3, cells=2 * len(schema.columns))
+        assert outcome(load_csv, path, schema) == outcome(reference_load_csv, path, schema)
+        assert len(forks) == 2
+
+    def test_range_count(self, tmp_path, ranges, forks, monkeypatch):
+        max_procs = data_module._MAX_PROCS
+        for rows, cpus, expected in [(20, 1, 0), (20, 2, 1), (20, 5, 4), (20, 8, 4),
+                                     (7, 8, 1),  # 4 chunks, the two-chunk floor
+                                     (5, 8, 0)]:  # 3 chunks: no fork
+            ranges(cpus)
+            path = self.write(tmp_path, "1.5,2.5,a\n" * rows)
+            forks.clear()
+            assert len(load_csv(path, XY_SCHEMA)) == rows
+            assert len(forks) == expected, (rows, cpus)
+        ranges(64)
+        monkeypatch.setattr(data_module, "_MAX_PROCS", max_procs)
+        path = self.write(tmp_path, "1.5,2.5,a\n" * 20)
+        forks.clear()
+        load_csv(path, XY_SCHEMA)  # 64 CPUs, 10 chunks: _MAX_PROCS ranges
+        assert len(forks) == max_procs - 1
+
+    def test_quoted_header_reads_serially(self, tmp_path, ranges, forks):
+        ranges(2)
+        path = tmp_path / "t.csv"
+        path.write_text('"x",y,label\n' + lf(reader_rows()), encoding="utf-8")
+        assert outcome(load_csv, path, XY_SCHEMA) == outcome(reference_load_csv, path, XY_SCHEMA)
+        assert not forks
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_fifo_reads_serially(self, tmp_path, ranges, forks):
+        ranges(2)
+        path = self.write(tmp_path, lf(reader_rows()))
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        feeder = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),))
+        feeder.start()
+        try:
+            got = outcome(load_csv, fifo, XY_SCHEMA)
+        finally:
+            feeder.join()
+        assert not forks
+        assert got == outcome(reference_load_csv, path, XY_SCHEMA)
+
+    def test_read_only_directory(self, tmp_path, ranges, forks):
+        ranges(2)
+        folder = tmp_path / "read-only"
+        folder.mkdir()
+        path = self.write(folder, lf(reader_rows()))
+        folder.chmod(0o555)
+        try:
+            got = outcome(load_csv, path, XY_SCHEMA)
+        finally:
+            folder.chmod(0o755)
+        assert len(forks) == 1
+        assert got == outcome(reference_load_csv, path, XY_SCHEMA)
+
+    def test_oserror_in_a_child(self, tmp_path, ranges, monkeypatch):
+        ranges(2)
+        path = self.write(tmp_path, lf(reader_rows()))
+        fail_pread_in_children(monkeypatch)
+        with pytest.raises(OSError) as err:
+            load_csv(path, XY_SCHEMA)
+        assert err.value.errno == errno.EIO
+        assert err.value.strerror == "simulated read error"
+
+    def test_oserror_in_a_child_exits_2(self, tmp_path, ranges, forks, monkeypatch, capsys):
+        data = make_surrogate(300, seed=2)
+        write_csv(data, tmp_path / "data.csv")
+        data.schema.save(tmp_path / "schema.json")
+        ranges(2, cells=24 * 20)
+        fail_pread_in_children(monkeypatch)
+        forks.clear()
+        code = cli.main(["audit", "--input", str(tmp_path / "data.csv"),
+                         "--schema", str(tmp_path / "schema.json")])
+        assert code == 2
+        assert len(forks) == 1
+        assert "simulated read error" in capsys.readouterr().err
+
+    def test_bug_in_a_child(self, tmp_path, ranges, monkeypatch):
+        ranges(2)
+        path = self.write(tmp_path, lf(reader_rows()))
+        fail_to_convert(monkeypatch, home=False)
+        with pytest.raises(RuntimeError, match="a load_csv child failed:(.|\n)*ValueError: chunk cannot"):
+            load_csv(path, XY_SCHEMA)
+
+    def test_child_that_dies_without_a_report(self, tmp_path, ranges, monkeypatch):
+        ranges(2)
+        path = self.write(tmp_path, lf(reader_rows()))
+        fail_pread_in_children(monkeypatch, exit_code=3)
+        with pytest.raises(RuntimeError, match="a load_csv child ended with wait status"):
+            load_csv(path, XY_SCHEMA)
+
+    def test_child_that_ends_while_sending(self, tmp_path, ranges, monkeypatch):
+        ranges(2)
+        path = self.write(tmp_path, "1.5,2.5,a\n" * 4000)  # 1000 chunks, 32 kB of floats a range
+        real, pid, calls = np.ascontiguousarray, os.getpid(), []
+
+        def ending(array):
+            if os.getpid() != pid:
+                calls.append(1)
+                if len(calls) == 800:  # some 25 kB sent
+                    os._exit(3)
+            return real(array)
+        monkeypatch.setattr(np, "ascontiguousarray", ending)
+        with pytest.raises(RuntimeError, match="a load_csv child ended with wait status 768"):
+            load_csv(path, XY_SCHEMA)
+
+    def test_parent_failure_reaps_the_children(self, tmp_path, ranges, forks, monkeypatch):
+        ranges(4)
+        path = self.write(tmp_path, lf(reader_rows()))
+        fail_to_convert(monkeypatch, home=True)
+        with pytest.raises(ValueError, match="chunk cannot be converted here"):
+            load_csv(path, XY_SCHEMA)
+        assert len(forks) == 3
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestStratifiedSplit:
