@@ -584,7 +584,7 @@ def _quote(text: str, alone: bool) -> str:
     return text
 
 
-def write_csv(data: Dataset, path) -> None:
+def write_csv(data: Dataset, path, meanwhile=None):
     """Write a dataset back to CSV, byte for byte as ``csv.writer`` would.
 
     Floats are written with ``repr`` so a re-parse reproduces the exact
@@ -601,21 +601,41 @@ def write_csv(data: Dataset, path) -> None:
     Otherwise ranges 2..P are formatted by forked children, each into an
     unnamed temporary file in the output's directory, while this process
     writes the header and range 1; it then appends the temporary files in
-    order. A child's ``OSError`` is raised here with the child's errno and
-    message; any other exception in a child is a bug and raises
-    ``RuntimeError`` carrying the child's traceback. No child outlives the
-    call: on any failure here the children are killed and reaped.
+    order.
+
+    ``meanwhile``, if given, is called with no arguments and its result is
+    returned. When P = 1 but two processes may run, this process writes the
+    header, one forked child formats every row into the file, and
+    ``meanwhile`` runs here while it does; the child is reaped once
+    ``meanwhile`` returns. Otherwise ``meanwhile`` runs before the file is
+    opened and the write proceeds as above.
+
+    A child's ``OSError`` is raised here with the child's errno and message;
+    any other exception in a child is a bug and raises ``RuntimeError``
+    carrying the child's traceback. No child outlives the call: on any
+    failure here, ``meanwhile``'s included, the children are killed and
+    reaped and the exception propagates unchanged.
     """
     width = len(data.schema.columns)
     size = max(1, _CHUNK_CELLS // width)
     n_chunks = -(-len(data) // size)
-    procs = max(1, min(_available_cpus(), _MAX_PROCS, n_chunks // 2)) if hasattr(os, "fork") else 1
+    cpus = min(_available_cpus(), _MAX_PROCS) if hasattr(os, "fork") else 1
+    procs = max(1, min(cpus, n_chunks // 2))
+    overlap = meanwhile is not None and procs == 1 and cpus > 1
+    result = meanwhile() if meanwhile is not None and not overlap else None
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(data.schema.column_names)
+        if overlap:
+            fh.flush()
+            with _Children("write_csv") as children:
+                children.fork(_write_part, data, 0, len(data), fh.fileno())
+                result = meanwhile()
+                children.wait_next()
+            return result
         if procs == 1:
             _write_rows(data, 0, len(data), fh)
-            return
+            return result
         # range i holds chunks [i * n_chunks // procs, (i + 1) * n_chunks // procs)
         bounds = [min(len(data), i * n_chunks // procs * size) for i in range(procs + 1)]
         with ExitStack() as stack:
@@ -630,6 +650,7 @@ def write_csv(data: Dataset, path) -> None:
                 children.wait_next()
                 part.seek(0)
                 shutil.copyfileobj(part, fh.buffer)
+    return result
 
 
 def _available_cpus() -> int:

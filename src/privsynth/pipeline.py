@@ -3,11 +3,15 @@
 One pipeline run executes a fixed stage order:
 
     load -> split -> oversample(train) -> perturb(train + synthetic)
-         -> audit(released) -> train classifiers on released, test on the
-            untouched clean split -> write artifacts
+         -> leakage guard -> write artifacts, and meanwhile: audit(released)
+            -> train classifiers on released, test on the untouched clean split
 
-The audit always sees exactly the dataset that would be released, and the
-held-out test split is never touched by oversampling or noise. Every
+The release write starts once the leakage guard has passed; the audit and
+evaluation run in the calling process while it is in progress (see
+``write_csv``'s ``meanwhile``), and the risk and evaluation reports are
+written after them. A run that fails leaves no partial artifact. The audit
+always sees exactly the dataset that would be released, and the held-out
+test split is never touched by oversampling or noise. Every
 stochastic stage draws from a sub-seed derived from the master seed and the
 stage name, so a (config, seed) pair fully determines every output byte.
 
@@ -21,6 +25,7 @@ from __future__ import annotations
 import csv
 import json
 import numbers
+import os
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, fields, replace
@@ -254,6 +259,8 @@ def _cell(value) -> str:
 def _stage(name, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
+    except StageError:  # a stage run inside this one keeps its own name
+        raise
     except PrivsynthError as exc:
         raise StageError(name, exc) from exc
 
@@ -294,37 +301,75 @@ def run_stages(
     if leaked:
         raise StageError("perturb", ConfigInvalid("test records leaked into the release"))
 
-    spec = _stage("audit", _audit_spec, cfg, released.schema)
-    classes = _stage("audit", equivalence_classes, released, spec)
-    risk = _stage("audit", risk_report, classes, cfg.k)
+    def audit_and_evaluate():
+        spec = _stage("audit", _audit_spec, cfg, released.schema)
+        classes = _stage("audit", equivalence_classes, released, spec)
+        risk = _stage("audit", risk_report, classes, cfg.k)
+        reports = []
+        for name in cfg.classifiers:
+            clf = make_classifier(name, seed=derive_seed(seed, "clf", name))
+            reports.append(_stage("evaluate", evaluate, clf, released, test))
+        return risk, reports
 
-    reports = []
-    for name in cfg.classifiers:
-        clf = make_classifier(name, seed=derive_seed(seed, "clf", name))
-        reports.append(_stage("evaluate", evaluate, clf, released, test))
-
-    if out_dir is not None:
-        _stage("write", _write_artifacts, out_dir, cfg, seed, released, risk, reports)
+    if out_dir is None:
+        risk, reports = audit_and_evaluate()
+    else:
+        risk, reports = _stage("write", _write_artifacts, out_dir, cfg, seed, released,
+                               audit_and_evaluate)
     return released, risk, reports
 
 
-def _write_artifacts(out_dir, cfg, seed, released, risk, reports):
+def _write_artifacts(out_dir, cfg, seed, released, meanwhile):
+    """Write the artifacts of one run into ``out_dir`` and return what
+    ``meanwhile`` (the audit and evaluation, which make the reports) returns.
+
+    ``write_csv`` may run ``meanwhile`` while a forked child formats
+    ``released.csv``. Each artifact is written under a temporary name in
+    ``out_dir``, and the set is moved into place with ``os.replace``,
+    ``run_manifest.json`` last, so a directory holding a manifest is
+    complete. On any failure the temporary files and the directories this
+    call made are removed, and the exception propagates; an ``OSError`` of
+    the writing is raised as :class:`IoFailure`.
+    """
     out = Path(out_dir)
+    made = []  # directories that did not exist, deepest first
+    for folder in (out, *out.parents):
+        if folder.exists():
+            break
+        made.append(folder)
+    staged = {}  # artifact name -> its temporary path
+
+    def temporary(name):
+        staged[name] = out / f".{name}.{os.getpid()}.tmp"
+        return staged[name]
+
     try:
         out.mkdir(parents=True, exist_ok=True)
-        write_csv(released, out / "released.csv")
-        risk.save(out / "risk.json")
+        risk, reports = write_csv(released, temporary("released.csv"), meanwhile)
+        risk.save(temporary("risk.json"))
         for report in reports:
-            report.save(out / f"eval_{report.classifier}.json")
+            report.save(temporary(f"eval_{report.classifier}.json"))
         manifest = replace(cfg, seed=seed, out_dir=str(out_dir)).to_dict()
         manifest["stage_seeds"] = {
             name: derive_seed(seed, name) for name in ("split", "smote", "noise")
         }
-        (out / "run_manifest.json").write_text(
+        temporary("run_manifest.json").write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+        for name, path in staged.items():
+            os.replace(path, out / name)
+    except BaseException as exc:
+        for path in staged.values():
+            path.unlink(missing_ok=True)
+        for folder in made:
+            try:
+                folder.rmdir()
+            except OSError:  # something else was put there meanwhile
+                break
+        if isinstance(exc, OSError):
+            raise IoFailure(str(exc)) from exc
+        raise
+    return risk, reports
 
 
 def run_pipeline(cfg: PipelineConfig) -> tuple[Dataset, RiskReport, list[EvalReport]]:

@@ -13,3 +13,14 @@ def no_child_process_left():
         return
     pytest.fail("a child process is still running" if pid == 0
                 else f"child process {pid} was never reaped")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The ``os.fork`` calls made in this process from here on (none where
+    there is no ``os.fork``)."""
+    calls = []
+    if hasattr(os, "fork"):
+        real_fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: calls.append(1) or real_fork())
+    return calls

@@ -3,6 +3,7 @@ import errno
 import math
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -498,15 +499,6 @@ def ranges(monkeypatch):
     return force
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The ``os.fork`` calls made in this process from here on."""
-    calls = []
-    real_fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or real_fork())
-    return calls
-
-
 @needs_fork
 class TestParallelWriter:
     """``write_csv`` split over forked writers: the same bytes, every failure
@@ -569,7 +561,7 @@ class TestParallelWriter:
                          "--schema", str(tmp_path / "schema.json"), "--minority-label", "12",
                          "--classifiers", "nb", "--out", str(tmp_path / "run")])
         assert code == 2
-        assert os.listdir(tmp_path / "run") == ["released.csv"]
+        assert sorted(os.listdir(tmp_path)) == ["data.csv", "schema.json"]  # no run directory
 
     def test_bug_in_a_child_propagates_out_of_run_sweep(self, tmp_path, ranges, monkeypatch):
         data = make_surrogate(300, seed=2)
@@ -584,8 +576,7 @@ class TestParallelWriter:
             out_dir=str(tmp_path / "sweep"))
         with pytest.raises(RuntimeError, match="ValueError: label cannot be formatted here"):
             pipeline.run_sweep(cfg, pipeline.SweepGrid((0.3,), (100,), (2,)))
-        point = tmp_path / "sweep" / pipeline.point_dir_name(0.3, 100, 2)
-        assert os.listdir(point) == ["released.csv"]
+        assert sorted(os.listdir(tmp_path)) == ["data.csv", "schema.json"]  # no sweep directory
 
     def test_child_that_dies_without_a_report(self, tmp_path, ranges):
         ranges(2)
@@ -602,6 +593,113 @@ class TestParallelWriter:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         assert os.listdir(tmp_path) == ["out.csv"]
+
+
+def fail_in_children(monkeypatch, exc):
+    """Make ``_write_rows`` raise ``exc`` in every process but this one."""
+    real, pid = data_module._write_rows, os.getpid()
+
+    def failing(*args):
+        if os.getpid() != pid:
+            raise exc
+        return real(*args)
+    monkeypatch.setattr(data_module, "_write_rows", failing)
+
+
+def surrogate_input(tmp_path):
+    """A 300-row sensor table and its schema on disk; under four chunks when released."""
+    data = make_surrogate(300, seed=2)
+    write_csv(data, tmp_path / "data.csv")
+    data.schema.save(tmp_path / "schema.json")
+    return data
+
+
+@needs_fork
+class TestWriteMeanwhile:
+    """``write_csv(meanwhile=...)``: ``meanwhile``'s result and the same bytes;
+    under four chunks on two CPUs one forked writer formats the rows while
+    ``meanwhile`` runs in the caller, else ``meanwhile`` runs first."""
+
+    @pytest.mark.parametrize("cpus, rows, forked", [(2, 5, 1), (2, 60, 1), (1, 5, 0), (1, 60, 0)],
+                             ids=["overlap", "ranges", "one-cpu-small", "one-cpu-large"])
+    def test_result_and_bytes(self, tmp_path, ranges, forks, cpus, rows, forked):
+        ranges(cpus)  # 2 rows a chunk: 5 rows are 3 chunks, 60 rows are 30
+        data = TestWriterOracle().dataset(XY_SCHEMA, rows)
+        calls = []
+        assert write_csv(data, tmp_path / "new.csv", meanwhile=lambda: calls.append(1) or "done") == "done"
+        assert calls == [1]
+        assert len(forks) == forked
+        reference_write_csv(data, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("cpus, rows, opened", [(2, 5, True), (2, 60, False), (1, 5, False)],
+                             ids=["overlap", "ranges", "one-cpu"])
+    def test_when_meanwhile_runs(self, tmp_path, ranges, cpus, rows, opened):
+        ranges(cpus)
+        path = tmp_path / "t.csv"
+        assert write_csv(small_dataset(["a"] * rows), path, meanwhile=path.exists) is opened
+
+    def test_meanwhile_failure_kills_the_writer(self, tmp_path, ranges, forks, monkeypatch):
+        ranges(2)
+        real, pid = data_module._write_rows, os.getpid()
+
+        def stalled(*args):
+            if os.getpid() != pid:
+                time.sleep(60)
+            return real(*args)
+        monkeypatch.setattr(data_module, "_write_rows", stalled)
+        failure = KeyError("meanwhile failed")
+
+        def failing():
+            raise failure
+        started = time.monotonic()
+        with pytest.raises(KeyError) as err:
+            write_csv(small_dataset(["a"] * 5), tmp_path / "out.csv", meanwhile=failing)
+        assert err.value is failure
+        assert len(forks) == 1
+        assert time.monotonic() - started < 30  # killed, not waited for
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_oserror_in_the_writer(self, tmp_path, ranges, monkeypatch):
+        ranges(2)
+        fail_in_children(monkeypatch, OSError(errno.ENOSPC, "No space left on device"))
+        calls = []
+        with pytest.raises(OSError) as err:
+            write_csv(small_dataset(["a"] * 5), tmp_path / "out.csv", meanwhile=lambda: calls.append(1))
+        assert err.value.errno == errno.ENOSPC
+        assert calls == [1]
+
+    def test_bug_in_the_writer(self, tmp_path, ranges):
+        ranges(2)
+        data = small_dataset([PidLabel(1)] * 5)
+        with pytest.raises(RuntimeError, match="ValueError: label cannot be formatted here"):
+            write_csv(data, tmp_path / "out.csv", meanwhile=lambda: None)
+
+    def test_oserror_in_the_writer_exits_2(self, tmp_path, monkeypatch, forks):
+        surrogate_input(tmp_path)
+        monkeypatch.setattr(data_module, "_available_cpus", lambda: 2)
+        fail_in_children(monkeypatch, OSError(errno.ENOSPC, "No space left on device"))
+        code = cli.main(["synthesize", "--input", str(tmp_path / "data.csv"),
+                         "--schema", str(tmp_path / "schema.json"), "--minority-label", "12",
+                         "--classifiers", "nb", "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert len(forks) == 1
+        assert sorted(os.listdir(tmp_path)) == ["data.csv", "schema.json"]  # no run directory
+
+    def test_bug_in_the_writer_propagates_out_of_run_sweep(self, tmp_path, monkeypatch, forks):
+        data = surrogate_input(tmp_path)
+        relabelled = Dataset(data.schema, data.features, [PidLabel(v) for v in data.labels])
+        monkeypatch.setattr(pipeline, "load_csv", lambda path, schema: relabelled)
+        monkeypatch.setattr(data_module, "_available_cpus", lambda: 2)
+        cfg = pipeline.PipelineConfig(
+            input=str(tmp_path / "data.csv"), schema=str(tmp_path / "schema.json"),
+            minority_label=12, smote=SmoteConfig(), noise=NoiseConfig(), classifiers=("nb",),
+            out_dir=str(tmp_path / "sweep"))
+        with pytest.raises(RuntimeError, match="ValueError: label cannot be formatted here"):
+            pipeline.run_sweep(cfg, pipeline.SweepGrid((0.3,), (100,), (2,)))
+        assert len(forks) == 1
+        assert sorted(os.listdir(tmp_path)) == ["data.csv", "schema.json"]  # no sweep directory
 
 
 # int labels and labels that must stay strings, on every side of each split

@@ -1,14 +1,16 @@
 import csv
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from privsynth import data as data_module
 from privsynth import pipeline
 from privsynth.anonymity import QuasiIdentifierSpec
 from privsynth.data import Dataset, derive_seed, stratified_split, write_csv
-from privsynth.errors import ConfigInvalid, StageError
+from privsynth.errors import ConfigInvalid, StageError, ValidationError
 from privsynth.noise import NoiseConfig
 from privsynth.pipeline import (
     PipelineConfig,
@@ -21,6 +23,23 @@ from privsynth.pipeline import (
 )
 from privsynth.smote import SmoteConfig, synthetic_count
 from privsynth.surrogate import make_surrogate
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the writer forks only with os.fork")
+
+
+class ExitingLabel(int):
+    """An int label whose ``str`` ends any process but the one that made it."""
+
+    def __new__(cls, value):
+        label = super().__new__(cls, value)
+        label.home = os.getpid()
+        return label
+
+    def __str__(self):
+        if os.getpid() != self.home:
+            os._exit(3)
+        return int.__str__(self)
 
 
 @pytest.fixture(scope="module")
@@ -126,7 +145,7 @@ class TestRunPipeline:
             if key not in train_keys:  # duplicates may straddle the split
                 assert key not in released_keys
 
-    def test_leakage_guard_fires(self, small_table, tmp_path, monkeypatch):
+    def test_leakage_guard_fires(self, small_table, tmp_path, monkeypatch, two_cpus, forks):
         data, _, _ = small_table
         train, test = stratified_split(data, 0.3, derive_seed(77, "split"))
         train_keys = {row.tobytes() for row in train.features}
@@ -144,6 +163,99 @@ class TestRunPipeline:
             with pytest.raises(StageError) as info:
                 run_pipeline(cfg)
             assert info.value.stage == "perturb"
+            assert not (tmp_path / "leak").exists()  # the guard runs before any write
+        assert forks == []  # and before the writer is forked
+
+
+ARTIFACTS = ["eval_dt.json", "eval_nb.json", "released.csv", "risk.json", "run_manifest.json"]
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Let the release write overlap the audit and evaluation, on any machine."""
+    monkeypatch.setattr(data_module, "_available_cpus", lambda: 2)
+
+
+@needs_fork
+class TestOverlappedWrite:
+    """run_stages writes released.csv in a forked child while the audit and
+    classifiers run, and leaves a complete artifact set or none."""
+
+    def test_artifact_listing(self, small_table, tmp_path, two_cpus, forks):
+        run_pipeline(config(small_table, tmp_path / "run"))
+        assert len(forks) == 1
+        assert sorted(os.listdir(tmp_path / "run")) == ARTIFACTS  # no temporary file
+
+    def test_write_csv_called_in_this_process(self, small_table, tmp_path, two_cpus, monkeypatch):
+        # bench/tracing.py wraps pipeline.write_csv and counts the rows of its
+        # first argument; a call made in a child would be lost to it
+        data, _, _ = small_table
+        calls = []
+        real = pipeline.write_csv
+
+        def recorder(*args, **kwargs):
+            calls.append((os.getpid(), args[0]))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(pipeline, "write_csv", recorder)
+        cfg = config(small_table, tmp_path / "run")
+        for i, seed in enumerate((5, 6)):
+            released, _, _ = pipeline.run_stages(data, cfg, seed, tmp_path / f"point{i}")
+            assert len(calls) == i + 1
+            assert calls[-1][0] == os.getpid()
+            assert calls[-1][1] is released
+
+    @pytest.mark.parametrize("stage, target", [("audit", "risk_report"), ("evaluate", "evaluate")])
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-dir", "existing-dir"])
+    def test_stage_failure_leaves_the_tree(self, small_table, tmp_path, two_cpus, forks,
+                                           monkeypatch, stage, target, existing):
+        def failing(*args):
+            raise ValidationError(f"{target} failed")
+        monkeypatch.setattr(pipeline, target, failing)
+        out = tmp_path / "root" / "run"
+        if existing:
+            out.mkdir(parents=True)
+            (out / "released.csv").write_text("an earlier release")
+        with pytest.raises(StageError) as info:
+            run_pipeline(config(small_table, out))
+        assert info.value.stage == stage
+        assert len(forks) == 1  # the writer had started
+        if existing:
+            assert os.listdir(out) == ["released.csv"]
+            assert (out / "released.csv").read_text() == "an earlier release"
+        else:
+            assert os.listdir(tmp_path) == []
+
+    def test_writer_killed_leaves_no_artifact(self, small_table, tmp_path, two_cpus):
+        data, _, _ = small_table
+        cfg = config(small_table, tmp_path / "run")
+        dying = Dataset(data.schema, data.features, [ExitingLabel(v) for v in data.labels])
+        with pytest.raises(RuntimeError, match="wait status"):
+            pipeline.run_stages(dying, cfg, 77, tmp_path / "run")
+        assert os.listdir(tmp_path) == []
+
+    def test_landscape_point_bytes_do_not_depend_on_the_cpus(self, tmp_path, monkeypatch, forks):
+        data = make_surrogate(3000, seed=1729)
+        write_csv(data, tmp_path / "input.csv")
+        data.schema.save(tmp_path / "schema.json")
+        files = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(data_module, "_available_cpus", lambda: cpus)
+            forks.clear()
+            cfg = PipelineConfig(
+                input=str(tmp_path / "input.csv"), schema=str(tmp_path / "schema.json"),
+                minority_label=12, smote=SmoteConfig(amount_percent=500, neighbors=5),
+                noise=NoiseConfig(level=0.3), k=2, classifiers=("knn", "nb", "dt"),
+                seed=20240101, out_dir=str(tmp_path / f"cpus{cpus}"))
+            run_sweep(cfg, SweepGrid((0.3,), (500,), (2,)))
+            assert len(forks) == cpus - 1
+            out = Path(cfg.out_dir)
+            point = out / point_dir_name(0.3, 500, 2)
+            files[cpus] = {path.name: path.read_bytes() for path in
+                           [out / "sweep.csv", *point.glob("*.csv"), *point.glob("*.json")]
+                           if path.name != "run_manifest.json"}  # it names out_dir
+        assert sorted(files[2]) == ["eval_dt.json", "eval_knn.json", "eval_nb.json",
+                                    "released.csv", "risk.json", "sweep.csv"]
+        assert files[1] == files[2]
 
 
 class TestRunSweep:
