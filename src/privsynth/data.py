@@ -18,6 +18,7 @@ import io
 import json
 import math
 import os
+import pickle
 import shutil
 import signal
 import stat
@@ -229,11 +230,6 @@ def parse_label(cell: str):
 # load_csv and write_csv hold one chunk of text at a time, never the file
 _CHUNK_CELLS = 1 << 15
 
-# most processes load_csv or write_csv runs in: the count measured to pay,
-# on 2 CPUs; more are unmeasured in time, memory and temporary disk, and a
-# CPU quota can leave them less CPU than the affinity mask shows
-_MAX_PROCS = 2
-
 # bytes load_csv reads at a time from a range of its input
 _WINDOW = 1 << 16
 
@@ -258,22 +254,21 @@ def load_csv(path, schema: Schema) -> Dataset:
     all kept and then copied into one column-major matrix, which the
     ``Dataset`` copies again: the peak is about twice the float64 matrix.
 
-    The data rows of a regular file are split into P contiguous byte ranges,
-    P the smallest of the CPUs this process may run on, ``_MAX_PROCS`` and
-    half the estimated number of chunks, so each range holds at least two
-    chunks. Each range after the first starts just past a line feed, which
-    always ends a line and never falls inside a UTF-8 sequence. This process
-    parses range 1 while forked children parse ranges 2..P, each through a
-    window of ``_WINDOW`` bytes, and send back their rows, label codes and
-    label texts through a pipe. When a range meets a ``"``, a chunk that fails
-    a check or bytes that are not UTF-8, the children are killed and the rows
-    are read serially from the header on, which gives exactly the result or
-    the error described above. P = 1, a serial read, covers an input that
-    is not a regular file (a pipe), a header line with a ``"``, a table of
-    under four chunks, one CPU, no ``os.fork``, and a file without a line feed
-    where a range should start (lines ended by CR alone). A child's
-    ``OSError`` is raised here with its errno and message; any other failure
-    in a child raises ``RuntimeError``. No child outlives the call.
+    On two CPUs the data rows of a regular file of four or more estimated
+    chunks are split into two byte ranges, the second starting just past the
+    first line feed at or after half the data bytes; a line feed always ends
+    a line and never falls inside a UTF-8 sequence. This process parses range
+    1 while one forked child parses range 2 and sends back its rows, label
+    codes and label texts through a pipe. When a range meets a ``"``, a chunk
+    that fails a check or bytes that are not UTF-8, the child is killed and
+    the rows are read serially from the header on, which gives exactly the
+    result or the error described above. The rows are also read serially from
+    an input that is not a regular file (a pipe), after a header line with a
+    ``"``, from a table of under four chunks, on one CPU, without
+    ``os.fork``, and from a file without a line feed where range 2 should
+    start (lines ended by CR alone). A child's ``OSError`` is raised here
+    with its errno and message; any other failure in the child raises
+    ``RuntimeError``. No child outlives the call.
 
     Raises:
         EmptyFile: no header or no data rows.
@@ -299,7 +294,16 @@ def load_csv(path, schema: Schema) -> Dataset:
                     (h for h, e in zip(header, expected) if h != e), header[len(expected)] if len(header) > len(expected) else expected[-1]
                 )
                 raise MissingColumn(offender, f"header {header!r} does not match schema {expected!r}")
-            parts = _read_ranges(fh, expected, label_idx)
+            fd = fh.fileno()
+            parts = None
+            if (bounds := _halves(fd, len(expected))) is not None:
+                start, split = bounds
+                with _Child("load_csv", _read_part, fd, split, None, expected, label_idx) as child:
+                    parts = [_read_part(fd, start, split, expected, label_idx)]
+                    if parts[0] is not None:  # else leaving the context kills the child
+                        parts.append(child.wait())
+                if None in parts:  # a range is to be read serially
+                    parts = None
             if parts is None:
                 parts = [_read_range(fh, expected, label_idx, whole=True)]
     except UnicodeDecodeError as exc:
@@ -362,39 +366,16 @@ def _read_range(fh, expected: list, label_idx: int, whole: bool):
     return features, labels, list(codes)
 
 
-def _read_ranges(fh, expected: list, label_idx: int):
-    """The data rows of ``fh`` read in P > 1 ranges, ranges 2..P in forked
-    children, as a list of :func:`_read_range` results; None when they are
-    to be read serially."""
-    fd = fh.fileno()
-    bounds = _range_starts(fd, len(expected))
-    if bounds is None:
-        return None
-    with _Children("load_csv") as children:
-        for start, stop in zip(bounds[1:], [*bounds[2:], None]):
-            children.fork(_read_part, fd, start, stop, expected, label_idx)
-        try:
-            with _range_text(fd, bounds[0], bounds[1]) as part:
-                parts = [_read_range(part, expected, label_idx, whole=False)]
-        except (_ReadSerially, UnicodeDecodeError):
-            return None
-        for _ in bounds[1:]:
-            parts.append(children.wait_next(lambda pipe: _receive_part(pipe, len(expected) - 1)))
-            if parts[-1] is None:
-                return None
-    return parts
-
-
-def _range_starts(fd: int, width: int):
-    """The byte offsets at which the P ranges of the data rows start, or None
-    when P is 1 or the rows are not to be split.
+def _halves(fd: int, width: int):
+    """``(start, split)``: the offsets of the first data row and of the row
+    that starts range 2, past the first line feed at or after half the data
+    bytes; None when the rows are to be read serially.
 
     The chunk count is estimated from the line feeds in the first window of
-    data rows. Range i starts past the first line feed at or after i / P of
-    the data bytes, found within one window.
+    data rows.
     """
     info = os.fstat(fd)
-    if not hasattr(os, "fork") or not stat.S_ISREG(info.st_mode):
+    if not _two_processes() or not stat.S_ISREG(info.st_mode):
         return None
     head = os.pread(fd, _WINDOW, 0)
     end = min((i for i in (head.find(b"\r"), head.find(b"\n")) if i >= 0), default=len(head))
@@ -404,15 +385,13 @@ def _range_starts(fd: int, width: int):
     size = info.st_size - start
     sample = os.pread(fd, _WINDOW, start)
     rows = sample.count(b"\n") * size / max(1, len(sample))
-    procs = min(_available_cpus(), _MAX_PROCS, math.ceil(rows / max(1, _CHUNK_CELLS // width)) // 2)
-    starts = [start]
-    for i in range(1, procs):
-        target = start + i * size // procs
-        lf = os.pread(fd, _WINDOW, target).find(b"\n")
-        if lf < 0 or not starts[-1] < target + lf + 1 < info.st_size:
-            return None
-        starts.append(target + lf + 1)
-    return starts if procs > 1 else None
+    if math.ceil(rows / max(1, _CHUNK_CELLS // width)) < 4:
+        return None
+    target = start + size // 2
+    lf = os.pread(fd, _WINDOW, target).find(b"\n")
+    if lf < 0 or target + lf + 1 >= info.st_size:
+        return None
+    return start, target + lf + 1
 
 
 class _Range(io.RawIOBase):
@@ -434,42 +413,16 @@ class _Range(io.RawIOBase):
         return len(data)
 
 
-def _range_text(fd: int, start: int, stop):
-    """A byte range of ``fd`` as the text stream ``load_csv`` reads."""
-    return io.TextIOWrapper(io.BufferedReader(_Range(fd, start, stop), _WINDOW),
-                            encoding="utf-8", newline="")
-
-
 def _read_part(fd: int, start: int, stop, expected: list, label_idx: int):
-    """Parse one range in a forked child; return what :func:`_receive_part`
-    reads: a JSON line ``[rows, texts]``, or ``null`` when the rows are to be
-    read serially, then the float64 rows and the int32 label codes."""
+    """The :func:`_read_range` result of one range of ``fd``, read through a
+    window of ``_WINDOW`` bytes, or None when the rows are to be read
+    serially."""
     try:
-        with _range_text(fd, start, stop) as fh:
-            features, codes, texts = _read_range(fh, expected, label_idx, whole=False)
+        with io.TextIOWrapper(io.BufferedReader(_Range(fd, start, stop), _WINDOW),
+                              encoding="utf-8", newline="") as fh:
+            return _read_range(fh, expected, label_idx, whole=False)
     except (_ReadSerially, UnicodeDecodeError):
-        return [b"null\n"]
-    meta = json.dumps([sum(map(len, features)), texts]).encode() + b"\n"
-    return chain([meta], map(np.ascontiguousarray, features), codes)
-
-
-def _receive_part(pipe, dim: int):
-    """A :func:`_read_range` result from what :func:`_read_part` sent, or None."""
-    line = pipe.readline()
-    if not line:
-        raise EOFError
-    if (meta := json.loads(line)) is None:
         return None
-    rows, texts = meta
-    features, codes = np.empty((rows, dim)), np.empty(rows, dtype=np.int32)
-    for array in (features, codes):
-        view = memoryview(array.reshape(-1).view(np.uint8))
-        while view:
-            n = pipe.readinto(view)
-            if not n:
-                raise EOFError
-            view = view[n:]
-    return [features], [codes], texts
 
 
 def _records(reader):
@@ -594,62 +547,45 @@ def write_csv(data: Dataset, path, meanwhile=None):
     written in chunks of at most ``_CHUNK_CELLS`` cells, so no whole-table
     text or list is held.
 
-    The chunks are split into P contiguous ranges, P the smallest of the
-    CPUs this process may run on, ``_MAX_PROCS`` and half the number of
-    chunks, so each range holds at least two chunks. With P = 1 (a small
-    table, one CPU, or no ``os.fork``) this process writes every row.
-    Otherwise ranges 2..P are formatted by forked children, each into an
-    unnamed temporary file in the output's directory, while this process
-    writes the header and range 1; it then appends the temporary files in
-    order.
+    On two CPUs, a table of four or more chunks is split at half its chunks:
+    one forked child formats the rows after the split into an unnamed
+    temporary file in the output's directory while this process writes the
+    header and the rows before it, and then appends the child's file. A
+    table of fewer chunks is written here, or wholly by the child when
+    ``meanwhile`` is given. On one CPU or without ``os.fork`` this process
+    writes every row.
 
-    ``meanwhile``, if given, is called with no arguments and its result is
-    returned. When P = 1 but two processes may run, this process writes the
-    header, one forked child formats every row into the file, and
-    ``meanwhile`` runs here while it does; the child is reaped once
-    ``meanwhile`` returns. Otherwise ``meanwhile`` runs before the file is
-    opened and the write proceeds as above.
+    ``meanwhile``, if given, is called with no arguments once the header is
+    written, while the child formats its rows, and its result is returned.
 
     A child's ``OSError`` is raised here with the child's errno and message;
-    any other exception in a child is a bug and raises ``RuntimeError``
+    any other exception in the child is a bug and raises ``RuntimeError``
     carrying the child's traceback. No child outlives the call: on any
-    failure here, ``meanwhile``'s included, the children are killed and
-    reaped and the exception propagates unchanged.
+    failure here, ``meanwhile``'s included, the child is killed and reaped
+    and the exception propagates unchanged.
     """
-    width = len(data.schema.columns)
-    size = max(1, _CHUNK_CELLS // width)
-    n_chunks = -(-len(data) // size)
-    cpus = min(_available_cpus(), _MAX_PROCS) if hasattr(os, "fork") else 1
-    procs = max(1, min(cpus, n_chunks // 2))
-    overlap = meanwhile is not None and procs == 1 and cpus > 1
-    result = meanwhile() if meanwhile is not None and not overlap else None
+    size = max(1, _CHUNK_CELLS // len(data.schema.columns))
+    chunks = -(-len(data) // size)
+    if not _two_processes():
+        split = len(data)
+    elif chunks >= 4:
+        split = chunks // 2 * size
+    else:
+        split = len(data) if meanwhile is None else 0
     path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    with path.open("w", newline="", encoding="utf-8") as fh, ExitStack() as stack:
         csv.writer(fh).writerow(data.schema.column_names)
-        if overlap:
+        if split < len(data):
+            tail = stack.enter_context(tempfile.TemporaryFile(dir=path.parent))
+            child = stack.enter_context(
+                _Child("write_csv", _write_part, data, split, len(data), tail.fileno()))
+        result = None if meanwhile is None else meanwhile()
+        _write_rows(data, 0, split, fh)
+        if split < len(data):
+            child.wait()
             fh.flush()
-            with _Children("write_csv") as children:
-                children.fork(_write_part, data, 0, len(data), fh.fileno())
-                result = meanwhile()
-                children.wait_next()
-            return result
-        if procs == 1:
-            _write_rows(data, 0, len(data), fh)
-            return result
-        # range i holds chunks [i * n_chunks // procs, (i + 1) * n_chunks // procs)
-        bounds = [min(len(data), i * n_chunks // procs * size) for i in range(procs + 1)]
-        with ExitStack() as stack:
-            parts = [stack.enter_context(tempfile.TemporaryFile(dir=path.parent))
-                     for _ in range(procs - 1)]
-            children = stack.enter_context(_Children("write_csv"))
-            for part, start, stop in zip(parts, bounds[1:], bounds[2:]):
-                children.fork(_write_part, data, start, stop, part.fileno())
-            _write_rows(data, 0, bounds[1], fh)
-            fh.flush()
-            for part in parts:
-                children.wait_next()
-                part.seek(0)
-                shutil.copyfileobj(part, fh.buffer)
+            tail.seek(0)
+            shutil.copyfileobj(tail, fh.buffer)
     return result
 
 
@@ -658,6 +594,15 @@ def _available_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
+
+
+def _two_processes() -> bool:
+    """Whether the codec may fork its one child: ``os.fork`` exists and this
+    process may run on more than one CPU. It never forks more: two processes
+    are what was measured to pay, on 2 CPUs; more are unmeasured in time,
+    memory and temporary disk, and a CPU quota can leave them less CPU than
+    the affinity mask shows."""
+    return hasattr(os, "fork") and _available_cpus() > 1
 
 
 def _write_rows(data: Dataset, start: int, stop: int, fh) -> None:
@@ -684,71 +629,60 @@ def _write_part(data: Dataset, start: int, stop: int, fd: int) -> None:
         _write_rows(data, start, stop, fh)
 
 
-class _Children:
-    """Forked children that each run one call and send back how it ended.
+class _Child:
+    """A forked child that runs one call and sends back how it ended.
 
-    A child writes one JSON line to its own pipe: ``null`` when the call
-    returned, then the byte strings it returned, if any; else ``[errno,
-    message]`` for an ``OSError`` or the traceback text for any other
-    exception. It ends with ``os._exit``, so it never returns into the
-    caller's stack nor flushes the buffers it inherited. Leaving the context
-    kills and reaps every child not yet waited for. ``name`` is the function
-    that forks, for the error texts.
+    The child pickles one ``(error, result)`` pair to its pipe: ``error`` is
+    None when the call returned ``result``, else ``[errno, message]`` for an
+    ``OSError`` or the traceback text for any other exception. It ends with
+    ``os._exit``, so it never returns into the caller's stack nor flushes the
+    buffers it inherited. Leaving the context kills and reaps the child if it
+    was not waited for. ``name`` is the function that forks, for the error
+    texts.
     """
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, fn, *args):
         self._name = name
-        self._pending: list = []  # (pid, read end of its pipe), oldest first
-
-    def fork(self, fn, *args) -> None:
         read_fd, write_fd = os.pipe()
-        reader = open(read_fd, "rb")
+        self._pipe = open(read_fd, "rb")
         try:
-            pid = os.fork()
+            self._pid = os.fork()
         except BaseException:
-            reader.close()
+            self._pipe.close()
             os.close(write_fd)
             raise
-        if pid == 0:
+        if self._pid == 0:
             status = 1
             try:
-                reader.close()  # a write to a pipe no one reads fails, never blocks
+                self._pipe.close()  # a write to a pipe no one reads fails, never blocks
                 with open(write_fd, "wb") as pipe:
-                    report, payload = None, ()
                     try:
-                        payload = fn(*args) or ()
+                        outcome = None, fn(*args)
                     except OSError as exc:
-                        report = [exc.errno, exc.strerror or str(exc)]
+                        outcome = [exc.errno, exc.strerror or str(exc)], None
                     except BaseException:
-                        report = traceback.format_exc()
-                    pipe.write(json.dumps(report).encode() + b"\n")
-                    pipe.writelines(payload)
-                status = 0 if report is None else 1
+                        outcome = traceback.format_exc(), None
+                    pickle.dump(outcome, pipe, protocol=5)
+                status = 0 if outcome[0] is None else 1
             finally:
                 os._exit(status)
-        self._pending.append((pid, reader))
         os.close(write_fd)
 
-    def wait_next(self, receive=None):
-        """Reap the oldest pending child and raise what it reported; else
-        return what ``receive`` reads of what it sent."""
-        pid, pipe = self._pending[0]
-        report = pipe.readline()
-        result = None
-        if report == b"null\n" and receive is not None:
-            try:
-                result = receive(pipe)
-            except EOFError:  # the child ended while sending
-                report = b""
-        _, status = os.waitpid(pid, 0)
-        self._pending.pop(0)
-        pipe.close()
-        if report and report != b"null\n":
-            error = json.loads(report)
-            if isinstance(error, list):
-                raise OSError(*error) if error[0] is not None else OSError(error[1])
+    def wait(self):
+        """Reap the child; return the call's result or raise what it reported."""
+        try:
+            error, result = pickle.load(self._pipe)
+            sent = True
+        except (EOFError, pickle.UnpicklingError):  # the child ended while sending
+            error, result, sent = None, None, False
+        _, status = os.waitpid(self._pid, 0)
+        self._pid = None
+        self._pipe.close()
+        if isinstance(error, list):
+            raise OSError(*error) if error[0] is not None else OSError(error[1])
+        if error is not None:
             raise RuntimeError(f"a {self._name} child failed:\n{error}")
-        if status or not report:
+        if status or not sent:
             raise RuntimeError(f"a {self._name} child ended with wait status {status}")
         return result
 
@@ -756,14 +690,13 @@ class _Children:
         return self
 
     def __exit__(self, *exc) -> None:
-        for pid, pipe in self._pending:
-            pipe.close()
+        if self._pid is not None:  # not waited for
+            self._pipe.close()
             try:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+                os.kill(self._pid, signal.SIGKILL)
+                os.waitpid(self._pid, 0)
             except (ProcessLookupError, ChildProcessError):  # reaped already
                 pass
-        self._pending.clear()
 
 
 def stratified_split(data: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

@@ -6,14 +6,17 @@ One pipeline run executes a fixed stage order:
          -> leakage guard -> write artifacts, and meanwhile: audit(released)
             -> train classifiers on released, test on the untouched clean split
 
-The release write starts once the leakage guard has passed; the audit and
-evaluation run in the calling process while it is in progress (see
-``write_csv``'s ``meanwhile``), and the risk and evaluation reports are
-written after them. A run that fails leaves no partial artifact. The audit
-always sees exactly the dataset that would be released, and the held-out
-test split is never touched by oversampling or noise. Every
-stochastic stage draws from a sub-seed derived from the master seed and the
-stage name, so a (config, seed) pair fully determines every output byte.
+The release write starts once the leakage guard has passed. With the header
+of ``released.csv`` written, the audit and evaluation run in the calling
+process; on two CPUs a forked child formats released rows meanwhile, all of
+them for a table of under four codec chunks and the second half of a larger
+one (see ``write_csv``'s ``meanwhile``). The risk and evaluation reports are
+written after them. A run that fails leaves no partial artifact, and a sweep
+table that fails partway leaves none either. The audit always sees exactly
+the dataset that would be released, and the held-out test split is never
+touched by oversampling or noise. Every stochastic stage draws from a
+sub-seed derived from the master seed and the stage name, so a (config,
+seed) pair fully determines every output byte.
 
 The sweep runner repeats the pipeline over a grid of (noise level,
 oversampling amount, k) points, isolates failures to their grid point, and
@@ -28,6 +31,7 @@ import numbers
 import os
 import time
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from itertools import product
 from pathlib import Path
@@ -340,7 +344,7 @@ def _write_artifacts(out_dir, cfg, seed, released, meanwhile):
     staged = {}  # artifact name -> its temporary path
 
     def temporary(name):
-        staged[name] = out / f".{name}.{os.getpid()}.tmp"
+        staged[name] = _temporary(out / name)
         return staged[name]
 
     try:
@@ -372,6 +376,25 @@ def _write_artifacts(out_dir, cfg, seed, released, meanwhile):
     return risk, reports
 
 
+def _temporary(path: Path) -> Path:
+    """Where ``path`` is written before ``os.replace`` moves it into place."""
+    return path.with_name(f".{path.name}.{os.getpid()}.tmp")
+
+
+@contextmanager
+def _replacing(path: Path):
+    """A temporary path to write ``path`` at. When the block completes, it is
+    moved onto ``path`` with ``os.replace``; when it fails, it is removed, so
+    ``path`` is either complete or as it was."""
+    temporary = _temporary(path)
+    try:
+        yield temporary
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
 def run_pipeline(cfg: PipelineConfig) -> tuple[Dataset, RiskReport, list[EvalReport]]:
     """Load the input and run the full release pipeline, writing artifacts.
 
@@ -394,9 +417,10 @@ def run_sweep(cfg: PipelineConfig, grid: SweepGrid) -> SweepReport:
     ``error`` of the form ``"<stage>: <error type>: <message>"``, and the
     sweep moves on; any other exception is a bug and propagates. The aggregated
     report is persisted as ``sweep.csv`` (deterministic columns only) and
-    ``sweep.json`` (including wall-clock timings). The input is loaded once,
-    before any point runs, and an ingestion error is raised unwrapped, as its
-    own :class:`ValidationError`.
+    ``sweep.json`` (including wall-clock timings), each written under a
+    temporary name and moved into place once complete. The input is loaded
+    once, before any point runs, and an ingestion error is raised unwrapped,
+    as its own :class:`ValidationError`.
     """
     data = load_csv(cfg.input, Schema.load(cfg.schema))
     out_root = Path(cfg.out_dir)
@@ -433,8 +457,10 @@ def run_sweep(cfg: PipelineConfig, grid: SweepGrid) -> SweepReport:
     report = SweepReport(tuple(rows))
     try:
         out_root.mkdir(parents=True, exist_ok=True)
-        report.to_csv(out_root / "sweep.csv")
-        report.to_json(out_root / "sweep.json")
+        with _replacing(out_root / "sweep.csv") as path:
+            report.to_csv(path)
+        with _replacing(out_root / "sweep.json") as path:
+            report.to_json(path)
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
     return report
@@ -446,7 +472,8 @@ def emit_plot_data(report: SweepReport, out_dir) -> list[Path]:
     For every (E, k): ``accuracy_vs_noise_E<E>_k<k>.csv`` with header
     ``g,classifier,accuracy``. For every (g, k):
     ``risk_vs_smote_g<g>_k<k>.csv`` with header ``smote_percent,risk``.
-    Failed rows are skipped.
+    Failed rows are skipped. Each table is written under a temporary name and
+    moved into place once complete.
     """
     rows = [r for r in report.rows if r.status == "ok"]
     if not rows:
@@ -465,7 +492,7 @@ def emit_plot_data(report: SweepReport, out_dir) -> list[Path]:
         for (family, value, k), lines in sorted(tables.items()):
             name, header = _PLOT_TABLES[family]
             path = out / name.format(value, k)
-            with path.open("w", newline="", encoding="utf-8") as fh:
+            with _replacing(path) as temporary, temporary.open("w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(header)
                 writer.writerows(line for _, line in sorted(lines.items()))

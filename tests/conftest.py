@@ -15,6 +15,26 @@ def no_child_process_left():
                 else f"child process {pid} was never reaped")
 
 
+@pytest.fixture(autouse=True)
+def no_descriptor_left():
+    """Fail a test after which this process holds a file descriptor that it
+    did not hold before the test (where ``/proc/self/fd`` lists them)."""
+    if not os.path.isdir("/proc/self/fd"):
+        yield
+        return
+    before = set(os.listdir("/proc/self/fd"))
+    yield
+    left = set(os.listdir("/proc/self/fd")) - before
+    targets = {}
+    for fd in left:
+        try:
+            targets[fd] = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:  # the listing's own descriptor, closed since
+            pass
+    if targets:
+        pytest.fail(f"file descriptors left open: {targets}")
+
+
 @pytest.fixture
 def forks(monkeypatch):
     """The ``os.fork`` calls made in this process from here on (none where

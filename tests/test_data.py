@@ -490,19 +490,18 @@ needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="nee
 
 @pytest.fixture
 def ranges(monkeypatch):
-    """Force chunks of at most ``cells`` cells and ``cpus`` available CPUs,
-    each of which may read or format a range."""
+    """Force chunks of at most ``cells`` cells and ``cpus`` available CPUs."""
     def force(cpus, cells=7):
         monkeypatch.setattr(data_module, "_CHUNK_CELLS", cells)
         monkeypatch.setattr(data_module, "_available_cpus", lambda: cpus)
-        monkeypatch.setattr(data_module, "_MAX_PROCS", cpus)
     return force
 
 
 @needs_fork
 class TestParallelWriter:
-    """``write_csv`` split over forked writers: the same bytes, every failure
-    raised, no child process or temporary file left behind."""
+    """``write_csv`` split between this process and one forked writer: the
+    same bytes at any CPU count, every failure raised, no child process or
+    temporary file left behind."""
 
     @pytest.mark.parametrize("schema", [XY_SCHEMA, LABEL_FIRST, Schema((("label", "label"),))],
                              ids=["label-last", "label-first", "label-only"])
@@ -521,25 +520,14 @@ class TestParallelWriter:
         reference_write_csv(data, tmp_path / "old.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
-    def test_range_count(self, tmp_path, ranges, forks, monkeypatch):
-        max_procs = data_module._MAX_PROCS
-        data = small_dataset(["a"] * 20)  # 2 rows a chunk: 10 chunks
-        for cpus, expected in [(1, 0), (2, 1), (5, 4), (8, 4)]:
+    def test_range_count(self, tmp_path, ranges, forks):
+        # 2 rows a chunk: one child at two or more CPUs and four or more chunks
+        data = small_dataset(["a"] * 20)
+        for rows, cpus, expected in [(20, 1, 0), (20, 2, 1), (20, 64, 1), (7, 64, 1), (5, 64, 0)]:
             ranges(cpus)
             forks.clear()
-            write_csv(data, tmp_path / "t.csv")
-            assert len(forks) == expected
-        ranges(8)
-        forks.clear()
-        write_csv(data.select(range(7)), tmp_path / "t.csv")  # 4 chunks, the two-chunk floor
-        assert len(forks) == 1
-        write_csv(data.select(range(5)), tmp_path / "t.csv")  # 3 chunks: no fork
-        assert len(forks) == 1
-        ranges(64)
-        monkeypatch.setattr(data_module, "_MAX_PROCS", max_procs)
-        forks.clear()
-        write_csv(data, tmp_path / "t.csv")  # 64 CPUs, 10 chunks: _MAX_PROCS ranges
-        assert len(forks) == max_procs - 1
+            write_csv(data.select(range(rows)), tmp_path / "t.csv")
+            assert len(forks) == expected, (rows, cpus)
 
     @needs_dev_full
     def test_oserror_in_a_child(self, tmp_path, ranges, monkeypatch):
@@ -617,8 +605,9 @@ def surrogate_input(tmp_path):
 @needs_fork
 class TestWriteMeanwhile:
     """``write_csv(meanwhile=...)``: ``meanwhile``'s result and the same bytes;
-    under four chunks on two CPUs one forked writer formats the rows while
-    ``meanwhile`` runs in the caller, else ``meanwhile`` runs first."""
+    ``meanwhile`` runs once the header is written, and on two CPUs while one
+    forked writer formats all the rows (under four chunks) or the second half
+    of them."""
 
     @pytest.mark.parametrize("cpus, rows, forked", [(2, 5, 1), (2, 60, 1), (1, 5, 0), (1, 60, 0)],
                              ids=["overlap", "ranges", "one-cpu-small", "one-cpu-large"])
@@ -632,12 +621,12 @@ class TestWriteMeanwhile:
         reference_write_csv(data, tmp_path / "old.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
-    @pytest.mark.parametrize("cpus, rows, opened", [(2, 5, True), (2, 60, False), (1, 5, False)],
+    @pytest.mark.parametrize("cpus, rows", [(2, 5), (2, 60), (1, 5)],
                              ids=["overlap", "ranges", "one-cpu"])
-    def test_when_meanwhile_runs(self, tmp_path, ranges, cpus, rows, opened):
+    def test_when_meanwhile_runs(self, tmp_path, ranges, cpus, rows):
         ranges(cpus)
         path = tmp_path / "t.csv"
-        assert write_csv(small_dataset(["a"] * rows), path, meanwhile=path.exists) is opened
+        assert write_csv(small_dataset(["a"] * rows), path, meanwhile=path.exists) is True
 
     def test_meanwhile_failure_kills_the_writer(self, tmp_path, ranges, forks, monkeypatch):
         ranges(2)
@@ -652,14 +641,17 @@ class TestWriteMeanwhile:
 
         def failing():
             raise failure
-        started = time.monotonic()
-        with pytest.raises(KeyError) as err:
-            write_csv(small_dataset(["a"] * 5), tmp_path / "out.csv", meanwhile=failing)
-        assert err.value is failure
-        assert len(forks) == 1
-        assert time.monotonic() - started < 30  # killed, not waited for
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        for rows in (5, 60):  # the child formats every row, or the second half
+            forks.clear()
+            started = time.monotonic()
+            with pytest.raises(KeyError) as err:
+                write_csv(small_dataset(["a"] * rows), tmp_path / "out.csv", meanwhile=failing)
+            assert err.value is failure
+            assert len(forks) == 1
+            assert time.monotonic() - started < 30  # killed, not waited for
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+            assert os.listdir(tmp_path) == ["out.csv"]
 
     def test_oserror_in_the_writer(self, tmp_path, ranges, monkeypatch):
         ranges(2)
@@ -709,8 +701,8 @@ SMALL_FIELD_LIMIT = 64
 
 
 # 800 rows of 2-row chunks make 400 chunks and about 16 kB, so the header's
-# read (8 kB of text) ends before row 500, which lies outside range 1 for 2,
-# 3 and 8 ranges; row 80 lies inside it
+# read (8 kB of text) ends before row 500, which lies in range 2; row 80 lies
+# in range 1
 N_ROWS, IN_RANGE_1, IN_RANGE_2 = 800, 80, 500
 
 
@@ -779,9 +771,9 @@ def fail_to_convert(monkeypatch, home):
 
 @needs_fork
 class TestParallelReader:
-    """``load_csv`` split over forked readers: the same values and label
-    types, or the same error as a serial read; every failure raised and no
-    child left behind."""
+    """``load_csv`` split between this process and one forked reader: the
+    same values and label types, or the same error as a serial read, at any
+    CPU count; every failure raised and no child left behind."""
 
     def write(self, tmp_path, body: str, schema=XY_SCHEMA):
         path = tmp_path / "t.csv"
@@ -802,7 +794,7 @@ class TestParallelReader:
         ranges(cpus)
         forks.clear()
         assert outcome(load_csv, path, XY_SCHEMA) == want
-        assert len(forks) == (0 if case == "lone CR" else cpus - 1)  # no LF to split after
+        assert len(forks) == (0 if case == "lone CR" else min(cpus, 2) - 1)  # no LF to split after
 
     @pytest.mark.parametrize("cpus", [2, 3, 8])
     def test_quoted_field_across_a_split(self, tmp_path, ranges, forks, cpus):
@@ -812,7 +804,7 @@ class TestParallelReader:
         path = self.write(tmp_path, lf(replaced(rows, {IN_RANGE_1: f"1.0,2.0,{field}"})))
         ranges(cpus)
         got = outcome(load_csv, path, XY_SCHEMA)
-        assert len(forks) == cpus - 1
+        assert len(forks) == 1
         assert got == outcome(reference_load_csv, path, XY_SCHEMA)
         assert got[0] == (N_ROWS, 2)
 
@@ -822,26 +814,18 @@ class TestParallelReader:
         rows = [",".join([row.rsplit(",", 1)[1], *row.split(",")[:schema.dim]])
                 for row in reader_rows()]
         path = self.write(tmp_path, lf(rows), schema)
-        ranges(3, cells=2 * len(schema.columns))
+        ranges(2, cells=2 * len(schema.columns))
         assert outcome(load_csv, path, schema) == outcome(reference_load_csv, path, schema)
-        assert len(forks) == 2
+        assert len(forks) == 1
 
-    def test_range_count(self, tmp_path, ranges, forks, monkeypatch):
-        max_procs = data_module._MAX_PROCS
-        for rows, cpus, expected in [(20, 1, 0), (20, 2, 1), (20, 5, 4), (20, 8, 4),
-                                     (7, 8, 1),  # 4 chunks, the two-chunk floor
-                                     (5, 8, 0)]:  # 3 chunks: no fork
+    def test_range_count(self, tmp_path, ranges, forks):
+        # 2 rows a chunk: one child at two or more CPUs and four or more chunks
+        for rows, cpus, expected in [(20, 1, 0), (20, 2, 1), (20, 64, 1), (7, 64, 1), (5, 64, 0)]:
             ranges(cpus)
             path = self.write(tmp_path, "1.5,2.5,a\n" * rows)
             forks.clear()
             assert len(load_csv(path, XY_SCHEMA)) == rows
             assert len(forks) == expected, (rows, cpus)
-        ranges(64)
-        monkeypatch.setattr(data_module, "_MAX_PROCS", max_procs)
-        path = self.write(tmp_path, "1.5,2.5,a\n" * 20)
-        forks.clear()
-        load_csv(path, XY_SCHEMA)  # 64 CPUs, 10 chunks: _MAX_PROCS ranges
-        assert len(forks) == max_procs - 1
 
     def test_quoted_header_reads_serially(self, tmp_path, ranges, forks):
         ranges(2)
@@ -917,15 +901,17 @@ class TestParallelReader:
     def test_child_that_ends_while_sending(self, tmp_path, ranges, monkeypatch):
         ranges(2)
         path = self.write(tmp_path, "1.5,2.5,a\n" * 4000)  # 1000 chunks, 32 kB of floats a range
-        real, pid, calls = np.ascontiguousarray, os.getpid(), []
+        pickle, pid = data_module.pickle, os.getpid()
+        real = pickle.dump
 
-        def ending(array):
-            if os.getpid() != pid:
-                calls.append(1)
-                if len(calls) == 800:  # some 25 kB sent
-                    os._exit(3)
-            return real(array)
-        monkeypatch.setattr(np, "ascontiguousarray", ending)
+        def ending(obj, file, **kwargs):
+            if os.getpid() != pid:  # send half the payload, then end
+                payload = pickle.dumps(obj, **kwargs)
+                file.write(payload[:len(payload) // 2])
+                file.flush()
+                os._exit(3)
+            return real(obj, file, **kwargs)
+        monkeypatch.setattr(pickle, "dump", ending)
         with pytest.raises(RuntimeError, match="a load_csv child ended with wait status 768"):
             load_csv(path, XY_SCHEMA)
 
@@ -935,9 +921,34 @@ class TestParallelReader:
         fail_to_convert(monkeypatch, home=True)
         with pytest.raises(ValueError, match="chunk cannot be converted here"):
             load_csv(path, XY_SCHEMA)
-        assert len(forks) == 3
+        assert len(forks) == 1
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+class TestWithoutFork:
+    """Where there is no ``os.fork`` the codec reads and writes in this
+    process alone, with the bytes and values of the references."""
+
+    @pytest.fixture(autouse=True)
+    def no_fork(self, ranges, monkeypatch):
+        ranges(2)  # two CPUs and 2 rows a chunk: only the missing os.fork keeps it serial
+        if hasattr(os, "fork"):
+            monkeypatch.delattr(os, "fork")
+
+    @pytest.mark.parametrize("rows", [5, 60], ids=["3-chunks", "30-chunks"])
+    def test_write_csv(self, tmp_path, rows):
+        data = TestWriterOracle().dataset(XY_SCHEMA, rows)
+        reference_write_csv(data, tmp_path / "old.csv")
+        write_csv(data, tmp_path / "new.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert write_csv(data, tmp_path / "meanwhile.csv", meanwhile=lambda: "done") == "done"
+        assert (tmp_path / "meanwhile.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("case", ["LF", "CRLF", "bad cell in range 2", "quote in range 2"])
+    def test_load_csv(self, tmp_path, case):
+        path = TestParallelReader().write(tmp_path, READER_CASES[case](reader_rows()))
+        assert outcome(load_csv, path, XY_SCHEMA) == outcome(reference_load_csv, path, XY_SCHEMA)
 
 
 class TestStratifiedSplit:

@@ -1,7 +1,9 @@
 import csv
+import errno
 import json
 import os
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from privsynth import data as data_module
 from privsynth import pipeline
 from privsynth.anonymity import QuasiIdentifierSpec
 from privsynth.data import Dataset, derive_seed, stratified_split, write_csv
-from privsynth.errors import ConfigInvalid, StageError, ValidationError
+from privsynth.errors import ConfigInvalid, IoFailure, StageError, ValidationError
 from privsynth.noise import NoiseConfig
 from privsynth.pipeline import (
     PipelineConfig,
@@ -234,28 +236,42 @@ class TestOverlappedWrite:
         assert os.listdir(tmp_path) == []
 
     def test_landscape_point_bytes_do_not_depend_on_the_cpus(self, tmp_path, monkeypatch, forks):
-        data = make_surrogate(3000, seed=1729)
-        write_csv(data, tmp_path / "input.csv")
-        data.schema.save(tmp_path / "schema.json")
         files = {}
         for cpus in (1, 2):
             monkeypatch.setattr(data_module, "_available_cpus", lambda: cpus)
             forks.clear()
-            cfg = PipelineConfig(
-                input=str(tmp_path / "input.csv"), schema=str(tmp_path / "schema.json"),
-                minority_label=12, smote=SmoteConfig(amount_percent=500, neighbors=5),
-                noise=NoiseConfig(level=0.3), k=2, classifiers=("knn", "nb", "dt"),
-                seed=20240101, out_dir=str(tmp_path / f"cpus{cpus}"))
-            run_sweep(cfg, SweepGrid((0.3,), (500,), (2,)))
+            files[cpus] = landscape_point(tmp_path, f"cpus{cpus}")
             assert len(forks) == cpus - 1
-            out = Path(cfg.out_dir)
-            point = out / point_dir_name(0.3, 500, 2)
-            files[cpus] = {path.name: path.read_bytes() for path in
-                           [out / "sweep.csv", *point.glob("*.csv"), *point.glob("*.json")]
-                           if path.name != "run_manifest.json"}  # it names out_dir
         assert sorted(files[2]) == ["eval_dt.json", "eval_knn.json", "eval_nb.json",
                                     "released.csv", "risk.json", "sweep.csv"]
         assert files[1] == files[2]
+
+    def test_landscape_point_bytes_without_fork(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data_module, "_available_cpus", lambda: 2)
+        forked = landscape_point(tmp_path, "forked")
+        monkeypatch.delattr(os, "fork")  # the codec forks only where os.fork exists
+        assert landscape_point(tmp_path, "serial") == forked
+
+
+def landscape_point(tmp_path, name):
+    """The sweep.csv and point artifacts of one landscape-sized point run
+    into ``tmp_path / name``, by file name, less run_manifest.json (it names
+    its directory)."""
+    if not (tmp_path / "input.csv").exists():
+        data = make_surrogate(3000, seed=1729)
+        write_csv(data, tmp_path / "input.csv")
+        data.schema.save(tmp_path / "schema.json")
+    cfg = PipelineConfig(
+        input=str(tmp_path / "input.csv"), schema=str(tmp_path / "schema.json"),
+        minority_label=12, smote=SmoteConfig(amount_percent=500, neighbors=5),
+        noise=NoiseConfig(level=0.3), k=2, classifiers=("knn", "nb", "dt"),
+        seed=20240101, out_dir=str(tmp_path / name))
+    run_sweep(cfg, SweepGrid((0.3,), (500,), (2,)))
+    out = Path(cfg.out_dir)
+    point = out / point_dir_name(0.3, 500, 2)
+    return {path.name: path.read_bytes() for path in
+            [out / "sweep.csv", *point.glob("*.csv"), *point.glob("*.json")]
+            if path.name != "run_manifest.json"}
 
 
 class TestRunSweep:
@@ -324,6 +340,30 @@ class TestRunSweep:
         loaded = SweepReport.load_json(Path(cfg.out_dir) / "sweep.json")
         assert loaded == report
 
+    @pytest.mark.parametrize("table, method", [("sweep.csv", "to_csv"), ("sweep.json", "to_json")])
+    def test_table_failing_partway(self, small_table, tmp_path, monkeypatch, table, method):
+        grid = SweepGrid((0.1,), (100,), (2,))
+        cfg = config(small_table, tmp_path / "sweep")
+        run_sweep(cfg, grid)
+        out = Path(cfg.out_dir)
+        before = {name: (out / name).read_bytes() for name in ("sweep.csv", "sweep.json")}
+
+        def partial(self, path):
+            Path(path).write_text("noise_level,smo")
+            raise OSError(errno.ENOSPC, "No space left on device")
+        monkeypatch.setattr(SweepReport, method, partial)
+        with pytest.raises(IoFailure, match="No space left"):
+            run_sweep(cfg, grid)
+        assert {name: (out / name).read_bytes() for name in before} == before
+        point = point_dir_name(0.1, 100, 2)
+        assert sorted(os.listdir(out)) == [point, "sweep.csv", "sweep.json"]  # no temporary file
+        fresh = config(small_table, tmp_path / "fresh")
+        with pytest.raises(IoFailure):
+            run_sweep(fresh, grid)
+        # sweep.csv is written before sweep.json
+        assert sorted(os.listdir(fresh.out_dir)) == ([point] if table == "sweep.csv"
+                                                     else [point, "sweep.csv"])
+
 
 class TestSweepGrid:
     @pytest.mark.parametrize("levels, shared", [
@@ -388,6 +428,31 @@ class TestEmitPlotData:
     def test_empty_report_rejected(self):
         with pytest.raises(ConfigInvalid):
             emit_plot_data(SweepReport(()), ".")
+
+    def test_table_failing_partway(self, sweep_report, tmp_path, monkeypatch):
+        complete = {path.name: path.read_bytes() for path in emit_plot_data(sweep_report, tmp_path / "a")}
+        first, second = sorted(complete)[:2]
+        out = tmp_path / "b"
+        out.mkdir()
+        (out / second).write_text("an earlier table")
+        tables = []
+
+        def writer(fh):  # the second table fails after its header and one row
+            real = csv.writer(fh)
+            tables.append(fh)
+            if len(tables) != 2:
+                return real
+
+            def writerows(rows):
+                real.writerow(next(iter(rows)))
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return SimpleNamespace(writerow=real.writerow, writerows=writerows)
+        monkeypatch.setattr(pipeline, "csv", SimpleNamespace(writer=writer))
+        with pytest.raises(IoFailure, match="No space left"):
+            emit_plot_data(sweep_report, out)
+        assert sorted(os.listdir(out)) == [first, second]  # no temporary file
+        assert (out / first).read_bytes() == complete[first]
+        assert (out / second).read_text() == "an earlier table"
 
 
 class TestConfigSerialization:
