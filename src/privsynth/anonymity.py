@@ -9,11 +9,20 @@ the fraction of records sitting in classes smaller than k.
 Continuous columns must be generalized before exact-match grouping means
 anything; the built-in rule is equal-width binning over the column's own
 min/max range.
+
+Grouping never builds the records-by-columns matrix of generalized values. A
+block of rows at a time, runs of binned columns are packed into int64 words
+in mixed radix and every other column becomes an int64 word that orders as
+its floats; the rows are then sorted on those words, most significant first,
+and their classes read off where a word changes. Class ids are those of a
+stable ``np.lexsort`` over the generalized columns.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,6 +35,11 @@ DROP = "drop"
 IDENTITY = "identity"
 
 DEFAULT_BINS = 10
+
+# the bits of a float64 below its sign
+_LOW_63 = np.int64((1 << 63) - 1)
+# rows generalized at once: the block of the feature matrix stays in cache
+_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -52,6 +66,8 @@ class QuasiIdentifierSpec:
         for col, rule in self.generalization.items():
             if col not in self.columns:
                 raise UnknownColumn(col)
+            if isinstance(rule, bool):  # an int to isinstance, as JSON's true and false arrive
+                raise ValidationError(f"column {col!r}: a bin count must be an int, got {rule!r}")
             if isinstance(rule, int):
                 if rule <= 0:
                     raise ZeroBins(f"column {col!r}: bin count must be positive, got {rule}")
@@ -139,31 +155,56 @@ class RiskReport:
         Path(path).write_text(self.to_json(), encoding="utf-8")
 
 
-def _bin_column(values: np.ndarray, bins: int) -> np.ndarray:
-    """Equal-width bin indices over the column's own range.
+def _bin_codes(values: np.ndarray, lo, hi, bins) -> np.ndarray:
+    """Equal-width bin indices, as floats, of rows whose columns range over
+    ``[lo, hi]`` and are cut into ``bins`` bins (one of each per column).
 
-    The guard epsilon keeps the maximum value inside the top bin. A constant
-    column collapses to bin 0.
+    The guard epsilon keeps ``hi`` inside the top bin; a constant column is
+    all bin 0. Where ``(hi - lo) * bins`` overflows, that column is scaled
+    by a power of two first: scaling is exact, so its indices are still the
+    quotients the formula means and lie in [0, bins).
     """
-    lo = values.min()
-    hi = values.max()
-    if hi == lo:
-        return np.zeros(values.shape, dtype=np.float64)
-    width = hi - lo
-    return np.floor((values - lo) * bins / (width + 1e-9 * width))
+    bins = np.asarray(bins, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        width = hi - lo
+        over = ~np.isfinite(width * bins)
+    if over.any():
+        scale = np.ones(over.shape)
+        top = np.maximum(-lo, hi)[over]
+        scale[over] = np.ldexp(1.0, 1022 - np.frexp(top)[1] - np.frexp(bins[over])[1])
+        values, lo, hi = values * scale, lo * scale, hi * scale
+        width = hi - lo
+    width[width == 0] = 1.0  # a constant column, where every values - lo is 0
+    codes = values - lo
+    codes *= bins
+    codes /= width + 1e-9 * width
+    return np.floor(codes, out=codes)
 
 
-def _qi_keys(data: Dataset, spec: QuasiIdentifierSpec) -> tuple[list[str], np.ndarray]:
-    """The kept (not dropped) QI column names in spec order, and a fresh
-    ``(n, len(kept))`` matrix of their generalized values."""
-    spec.validate_against(data.schema)
-    kept = [c for c in spec.columns if spec.rule_for(c) != DROP]
-    keys = data.features[:, [data.schema.feature_index(c) for c in kept]]
-    for j, col in enumerate(kept):
-        rule = spec.rule_for(col)
-        if isinstance(rule, int):
-            keys[:, j] = _bin_column(keys[:, j], rule)
-    return kept, keys
+def _bin_plan(data: Dataset, spec: QuasiIdentifierSpec, names: list) -> tuple:
+    """How to generalize the feature columns ``names``: their positions in
+    ``names``, the binned ones first; the feature index at each of those
+    positions; and ``(lo, hi, bins)`` of the binned columns for
+    ``_bin_codes``, each range the whole column's."""
+    rules = [spec.rule_for(c) for c in names]
+    binned = [i for i, rule in enumerate(rules) if isinstance(rule, int)]
+    slots = binned + [i for i, rule in enumerate(rules) if not isinstance(rule, int)]
+    columns = [data.schema.feature_index(names[i]) for i in slots]
+    at = columns[:len(binned)]
+    if at and len(data):
+        lo, hi = data.features.min(axis=0)[at], data.features.max(axis=0)[at]
+    else:
+        lo = hi = np.zeros(len(at))
+    return slots, columns, (lo, hi, [rules[i] for i in binned])
+
+
+def _generalized(rows: np.ndarray, columns: list, ranges: tuple) -> np.ndarray:
+    """A fresh matrix of the feature ``rows`` in ``columns``, the first
+    ``len(ranges[0])`` of them replaced by their bin indices."""
+    out = rows[:, columns]
+    binned = out[:, :len(ranges[0])]
+    binned[...] = _bin_codes(binned, *ranges)
+    return out
 
 
 def generalize(data: Dataset, spec: QuasiIdentifierSpec) -> Dataset:
@@ -172,25 +213,158 @@ def generalize(data: Dataset, spec: QuasiIdentifierSpec) -> Dataset:
     Binned columns are replaced by their bin index, dropped columns vanish
     from the schema and every record, and everything else passes through.
     """
-    kept, keys = _qi_keys(data, spec)
+    spec.validate_against(data.schema)
     schema = data.schema.drop_features([c for c in spec.columns if spec.rule_for(c) == DROP])
-    feats = data.features[:, [data.schema.feature_index(n) for n in schema.feature_names]]
-    feats[:, [schema.feature_index(c) for c in kept]] = keys
+    slots, columns, ranges = _bin_plan(data, spec, schema.feature_names)
+    feats = np.empty((len(data), len(slots)))
+    feats[:, slots] = _generalized(data.features, columns, ranges)
     return Dataset(schema, feats, data.labels)
 
 
-def equivalence_classes(data: Dataset, spec: QuasiIdentifierSpec) -> EquivalenceClasses:
-    """Group records by exact (``==``) equality of their generalized QI values:
-    sort the rows on the kept QI columns and start a class at each change."""
-    _, keys = _qi_keys(data, spec)
-    # lexsort needs at least one key; with every column dropped all rows tie
-    order = np.lexsort(keys.T) if keys.shape[1] else np.arange(len(keys))
+def _index_bits(n: int) -> int:
+    """Bits that hold any index of ``n`` rows."""
+    return max(n - 1, 0).bit_length()
+
+
+def _layout(radices: list, limit: int) -> list:
+    """Which kept QI columns make each int64 word, least significant word
+    first as ``np.lexsort`` takes its keys.
+
+    ``radices`` holds each binned column's top bin index plus one, and None
+    for an identity column. From the last, most significant, column down, a
+    run of binned columns is packed into one word while the product of
+    their radices stays within ``limit``, so that the top word tells the
+    most rows apart. A word ``(a, b, places)`` packs the columns a..b-1 in
+    mixed radix with those place values, a later column more significant;
+    ``(a, a + 1, None)`` is column a alone, keyed by ``_ordered_word``.
+    """
+    layout = []
+    b = len(radices)
+    while b:
+        a = b - 1
+        if radices[a] is None or radices[a] > limit:
+            layout.append((a, b, None))
+        else:
+            product = radices[a]
+            while a and radices[a - 1] is not None and product * radices[a - 1] <= limit:
+                a -= 1
+                product *= radices[a]
+            layout.append((a, b, list(itertools.accumulate(radices[a:b - 1], operator.mul, initial=1))))
+        b = a
+    return layout[::-1]
+
+
+def _ordered_word(values: np.ndarray) -> np.ndarray:
+    """int64 keys that order as the finite floats ``values`` do, -0.0 tying 0.0."""
+    word = (values + 0.0).view(np.int64)  # + 0.0 turns -0.0 into 0.0
+    word ^= (word >> 63) & _LOW_63  # below the sign, a negative float's bits grow with |x|
+    return word
+
+
+def _stable_order(key: np.ndarray) -> np.ndarray:
+    """``np.argsort(key, kind="stable")`` of an int64 key.
+
+    Where the key's range leaves the low bits of an int64 free for the row
+    index, each key and its index are packed into one int64 and the packed
+    values sorted: they are distinct, so any sort orders them stably, and a
+    plain sort of int64 values is several times faster than a stable
+    argsort.
+    """
+    if len(key):
+        bits = _index_bits(len(key))
+        lo = int(key.min())
+        if int(key.max()) - lo < 1 << (63 - bits):
+            pairs = key - lo
+            pairs <<= bits
+            pairs |= np.arange(len(key))
+            pairs.sort()
+            pairs &= (1 << bits) - 1
+            return pairs
+    return np.argsort(key, kind="stable")
+
+
+def _word_ids(words: list, n: int) -> np.ndarray:
+    """Class ids of ``n`` rows, counted up in the order of ``np.lexsort(words)``.
+
+    The rows are sorted stably by the most significant word alone; only the
+    rows that tie a neighbour there are sorted again, by the other words and
+    then by their run of ties. That is lexsort's permutation, as every sort
+    here is stable.
+    """
+    if not words:
+        return np.zeros(n, dtype=np.intp)
+    order = _stable_order(words[-1])
+    top = words[-1][order]
+    starts = np.ones(n, dtype=bool)
+    np.not_equal(top[1:], top[:-1], out=starts[1:])
+    del top
+    if len(words) > 1:
+        tied = ~starts
+        tied[:-1] |= ~starts[1:]
+        pos = np.flatnonzero(tied)  # the sorted positions in a run of equal top words
+        if len(pos):
+            rows = order[pos]
+            keys = [word[rows] for word in words[:-1]]
+            sub = np.arange(len(pos))
+            for key in [*keys, np.cumsum(starts[pos])]:
+                sub = sub[_stable_order(key[sub])]
+            order[pos] = rows[sub]
+            differs = np.zeros(len(pos) - 1, dtype=bool)
+            for key in keys:
+                key = key[sub]
+                differs |= key[1:] != key[:-1]
+            starts[pos[1:]] |= differs
+    ids = np.empty(n, dtype=np.intp)
+    ids[order] = np.cumsum(starts) - 1
+    return ids
+
+
+def _float_ids(keys: np.ndarray) -> np.ndarray:
+    """Class ids from ``np.lexsort`` over the float rows of ``keys``, for bin
+    indices that no int64 word orders (NaN, which ``!=`` itself)."""
+    order = np.lexsort(keys.T)
     ordered = keys[order]
     starts = np.ones(len(keys), dtype=bool)
     starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
     ids = np.empty(len(keys), dtype=np.intp)
     ids[order] = np.cumsum(starts) - 1
-    return EquivalenceClasses(ids)
+    return ids
+
+
+def equivalence_classes(data: Dataset, spec: QuasiIdentifierSpec) -> EquivalenceClasses:
+    """Group records by exact (``==``) equality of their generalized QI values.
+
+    The kept QI columns are packed into int64 words that order as their
+    generalized values do (see ``_layout``), a block of rows at a time, so
+    no matrix of every row and column is held. The rows are sorted on the
+    words as ``np.lexsort`` sorts the columns, the last kept column most
+    significant, and a class starts at each change of word; class ids count
+    up in that order.
+    """
+    spec.validate_against(data.schema)
+    kept = [c for c in spec.columns if spec.rule_for(c) != DROP]
+    slots, columns, ranges = _bin_plan(data, spec, kept)
+    tops = _bin_codes(ranges[1], *ranges)  # each binned column's top bin, that of its hi
+    slot_of = np.argsort(slots).tolist()  # kept column i sits in slot slot_of[i] of a block
+    if not np.isfinite(tops).all():
+        return EquivalenceClasses(_float_ids(_generalized(data.features, columns, ranges)[:, slot_of]))
+    radices = [None] * len(kept)
+    for i, top in zip(slots, tops.tolist()):
+        radices[i] = int(top) + 1
+    n = len(data)
+    # Below 2**53 a float64 dot product packs a word exactly, and the low
+    # bits stay free for the row index that _stable_order adds.
+    limit = 1 << min(53, 62 - _index_bits(n))
+    layout = [(slot_of[a], slot_of[a] + b - a,
+               None if places is None else np.array(places, dtype=np.float64))
+              for a, b, places in _layout(radices, limit)]
+    words = [np.empty(n, dtype=np.int64) for _ in layout]
+    for start in range(0, n, _BLOCK_ROWS):
+        block = _generalized(data.features[start:start + _BLOCK_ROWS], columns, ranges)
+        for word, (a, b, places) in zip(words, layout):
+            word[start:start + len(block)] = (
+                _ordered_word(block[:, a]) if places is None else block[:, a:b] @ places)
+    return EquivalenceClasses(_word_ids(words, n))
 
 
 def check_k_anonymity(classes: EquivalenceClasses, k: int) -> bool:

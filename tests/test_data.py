@@ -926,6 +926,35 @@ class TestParallelReader:
             os.waitpid(-1, os.WNOHANG)
 
 
+def exit_in_child():
+    os._exit(3)
+
+
+def raise_os_error():
+    raise OSError(errno.ENOSPC, "no space left")
+
+
+@needs_fork
+class TestChild:
+    """``_Child.wait`` closes the read end of its pipe however the call ended,
+    not only when the ``_Child`` is freed."""
+
+    @pytest.mark.parametrize("fn, raised", [
+        (lambda: 7, None),
+        (lambda: 1 / 0, RuntimeError),
+        (raise_os_error, OSError),
+        (exit_in_child, RuntimeError),
+    ], ids=["returned", "raised", "os-error", "exited"])
+    def test_wait_closes_the_pipe(self, fn, raised):
+        with data_module._Child("test", fn) as child:
+            if raised is None:
+                assert child.wait() == 7
+            else:
+                with pytest.raises(raised):
+                    child.wait()
+            assert child._pipe.closed
+
+
 class TestWithoutFork:
     """Where there is no ``os.fork`` the codec reads and writes in this
     process alone, with the bytes and values of the references."""
