@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import json
 import operator
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -71,6 +72,8 @@ class QuasiIdentifierSpec:
             if isinstance(rule, int):
                 if rule <= 0:
                     raise ZeroBins(f"column {col!r}: bin count must be positive, got {rule}")
+                if rule > sys.float_info.max:  # the bins are counted in float64
+                    raise ValidationError(f"column {col!r}: bin count exceeds {sys.float_info.max:g}")
             elif rule not in (DROP, IDENTITY):
                 raise ValidationError(f"column {col!r}: unknown rule {rule!r}")
 
@@ -160,24 +163,26 @@ def _bin_codes(values: np.ndarray, lo, hi, bins) -> np.ndarray:
     ``[lo, hi]`` and are cut into ``bins`` bins (one of each per column).
 
     The guard epsilon keeps ``hi`` inside the top bin; a constant column is
-    all bin 0. Where ``(hi - lo) * bins`` overflows, that column is scaled
-    by a power of two first: scaling is exact, so its indices are still the
-    quotients the formula means and lie in [0, bins).
+    all bin 0. Where ``(hi - lo) * bins`` overflows, or the range is so
+    small that the guard rounds to zero, that column is scaled by a power
+    of two first: scaling is exact, so its indices are still the quotients
+    the formula means and lie in [0, bins).
     """
     bins = np.asarray(bins, dtype=np.float64)
     with np.errstate(over="ignore"):
         width = hi - lo
-        over = ~np.isfinite(width * bins)
-    if over.any():
-        scale = np.ones(over.shape)
-        top = np.maximum(-lo, hi)[over]
-        scale[over] = np.ldexp(1.0, 1022 - np.frexp(top)[1] - np.frexp(bins[over])[1])
-        values, lo, hi = values * scale, lo * scale, hi * scale
+        scaled = ~np.isfinite(width * bins) | ((width > 0) & (width * 1e-9 == 0))
+    if scaled.any():
+        shift = np.zeros(scaled.shape, dtype=int)
+        top = np.maximum(-lo, hi)[scaled]
+        shift[scaled] = 1022 - np.frexp(top)[1] - np.frexp(bins[scaled])[1]
+        values, lo, hi = np.ldexp(values, shift), np.ldexp(lo, shift), np.ldexp(hi, shift)
         width = hi - lo
     width[width == 0] = 1.0  # a constant column, where every values - lo is 0
     codes = values - lo
     codes *= bins
-    codes /= width + 1e-9 * width
+    with np.errstate(over="ignore"):  # only at one bin: an infinite divisor leaves every code 0
+        codes /= width + 1e-9 * width
     return np.floor(codes, out=codes)
 
 
@@ -319,18 +324,6 @@ def _word_ids(words: list, n: int) -> np.ndarray:
     return ids
 
 
-def _float_ids(keys: np.ndarray) -> np.ndarray:
-    """Class ids from ``np.lexsort`` over the float rows of ``keys``, for bin
-    indices that no int64 word orders (NaN, which ``!=`` itself)."""
-    order = np.lexsort(keys.T)
-    ordered = keys[order]
-    starts = np.ones(len(keys), dtype=bool)
-    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    ids = np.empty(len(keys), dtype=np.intp)
-    ids[order] = np.cumsum(starts) - 1
-    return ids
-
-
 def equivalence_classes(data: Dataset, spec: QuasiIdentifierSpec) -> EquivalenceClasses:
     """Group records by exact (``==``) equality of their generalized QI values.
 
@@ -346,8 +339,6 @@ def equivalence_classes(data: Dataset, spec: QuasiIdentifierSpec) -> Equivalence
     slots, columns, ranges = _bin_plan(data, spec, kept)
     tops = _bin_codes(ranges[1], *ranges)  # each binned column's top bin, that of its hi
     slot_of = np.argsort(slots).tolist()  # kept column i sits in slot slot_of[i] of a block
-    if not np.isfinite(tops).all():
-        return EquivalenceClasses(_float_ids(_generalized(data.features, columns, ranges)[:, slot_of]))
     radices = [None] * len(kept)
     for i, top in zip(slots, tops.tolist()):
         radices[i] = int(top) + 1

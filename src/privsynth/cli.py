@@ -17,7 +17,9 @@ nowhere takes the default of its config type.
 Exit codes, the same from every subcommand: 0 success; 1 when the command
 line or an input CSV, schema or config file is malformed or missing; 2 when a
 pipeline stage fails at runtime or on another I/O error. Any other exception
-is a bug and propagates with its traceback.
+is a bug and propagates with its traceback. Every file a subcommand writes is
+staged (``pipeline._staged``), so a failed write leaves an earlier file as it
+was.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .pipeline import (
     PipelineConfig,
     SweepGrid,
     SweepReport,
+    _staged,
     emit_plot_data,
     run_pipeline,
     run_sweep,
@@ -198,10 +201,9 @@ def _cmd_audit(args) -> int:
     risk = risk_report(equivalence_classes(data, qi), settings.get("k", PipelineConfig.k))
 
     if settings.get("out_dir"):
-        out = Path(settings["out_dir"])
-        out.mkdir(parents=True, exist_ok=True)
-        risk.save(out / "risk.json")
-        print(f"wrote {out / 'risk.json'}")
+        with _staged(settings["out_dir"]) as stage:
+            risk.save(stage("risk.json"))
+        print(f"wrote {Path(settings['out_dir']) / 'risk.json'}")
     else:
         sys.stdout.write(risk.to_json())
     return EXIT_OK
@@ -227,10 +229,10 @@ def _cmd_evaluate(args) -> int:
               f"macro P {report.macro_precision:.4f}, "
               f"macro R {report.macro_recall:.4f}, "
               f"macro F {report.macro_f_measure:.4f}")
-        if settings.get("out_dir"):
-            out = Path(settings["out_dir"])
-            out.mkdir(parents=True, exist_ok=True)
-            report.save(out / f"eval_{report.classifier}.json")
+    if settings.get("out_dir"):
+        with _staged(settings["out_dir"]) as stage:
+            for report in reports:
+                report.save(stage(f"eval_{report.classifier}.json"))
     return EXIT_OK
 
 

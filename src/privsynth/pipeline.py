@@ -11,12 +11,14 @@ of ``released.csv`` written, the audit and evaluation run in the calling
 process; on two CPUs a forked child formats released rows meanwhile, all of
 them for a table of under four codec chunks and the second half of a larger
 one (see ``write_csv``'s ``meanwhile``). The risk and evaluation reports are
-written after them. A run that fails leaves no partial artifact, and a sweep
-table that fails partway leaves none either. The audit always sees exactly
-the dataset that would be released, and the held-out test split is never
-touched by oversampling or noise. Every stochastic stage draws from a
-sub-seed derived from the master seed and the stage name, so a (config,
-seed) pair fully determines every output byte.
+written after them. Every artifact, here and in the CLI, is written through
+one context manager, ``_staged``: each file goes under a temporary name and
+the set is moved into place once complete, so a run, sweep table or plot
+table that fails leaves no partial artifact and no directory it made. The
+audit always sees exactly the dataset that would be released, and the
+held-out test split is never touched by oversampling or noise. Every
+stochastic stage draws from a sub-seed derived from the master seed and the
+stage name, so a (config, seed) pair fully determines every output byte.
 
 The sweep runner repeats the pipeline over a grid of (noise level,
 oversampling amount, k) points, isolates failures to their grid point, and
@@ -323,17 +325,16 @@ def run_stages(
     return released, risk, reports
 
 
-def _write_artifacts(out_dir, cfg, seed, released, meanwhile):
-    """Write the artifacts of one run into ``out_dir`` and return what
-    ``meanwhile`` (the audit and evaluation, which make the reports) returns.
+@contextmanager
+def _staged(out_dir):
+    """Write a set of artifacts into ``out_dir`` all or nothing.
 
-    ``write_csv`` may run ``meanwhile`` while a forked child formats
-    ``released.csv``. Each artifact is written under a temporary name in
-    ``out_dir``, and the set is moved into place with ``os.replace``,
-    ``run_manifest.json`` last, so a directory holding a manifest is
-    complete. On any failure the temporary files and the directories this
-    call made are removed, and the exception propagates; an ``OSError`` of
-    the writing is raised as :class:`IoFailure`.
+    The block gets ``stage(name)``, the temporary path ``out_dir/.<name>.<pid>.tmp``
+    to write the artifact ``name`` at. When the block completes, the staged
+    files are moved into place with ``os.replace`` in the order they were
+    staged. On any failure the temporary files and the directories this
+    call made are removed, deepest first, and the exception propagates; an
+    ``OSError`` is raised as :class:`IoFailure`.
     """
     out = Path(out_dir)
     made = []  # directories that did not exist, deepest first
@@ -343,23 +344,13 @@ def _write_artifacts(out_dir, cfg, seed, released, meanwhile):
         made.append(folder)
     staged = {}  # artifact name -> its temporary path
 
-    def temporary(name):
-        staged[name] = _temporary(out / name)
+    def stage(name):
+        staged[name] = out / f".{name}.{os.getpid()}.tmp"
         return staged[name]
 
     try:
         out.mkdir(parents=True, exist_ok=True)
-        risk, reports = write_csv(released, temporary("released.csv"), meanwhile)
-        risk.save(temporary("risk.json"))
-        for report in reports:
-            report.save(temporary(f"eval_{report.classifier}.json"))
-        manifest = replace(cfg, seed=seed, out_dir=str(out_dir)).to_dict()
-        manifest["stage_seeds"] = {
-            name: derive_seed(seed, name) for name in ("split", "smote", "noise")
-        }
-        temporary("run_manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        yield stage
         for name, path in staged.items():
             os.replace(path, out / name)
     except BaseException as exc:
@@ -373,26 +364,29 @@ def _write_artifacts(out_dir, cfg, seed, released, meanwhile):
         if isinstance(exc, OSError):
             raise IoFailure(str(exc)) from exc
         raise
+
+
+def _write_artifacts(out_dir, cfg, seed, released, meanwhile):
+    """Write the artifacts of one run into ``out_dir`` and return what
+    ``meanwhile`` (the audit and evaluation, which make the reports) returns.
+
+    ``write_csv`` may run ``meanwhile`` while a forked child formats
+    ``released.csv``. The set is staged, ``run_manifest.json`` last, so a
+    directory holding a manifest is complete.
+    """
+    with _staged(out_dir) as stage:
+        risk, reports = write_csv(released, stage("released.csv"), meanwhile)
+        risk.save(stage("risk.json"))
+        for report in reports:
+            report.save(stage(f"eval_{report.classifier}.json"))
+        manifest = replace(cfg, seed=seed, out_dir=str(out_dir)).to_dict()
+        manifest["stage_seeds"] = {
+            name: derive_seed(seed, name) for name in ("split", "smote", "noise")
+        }
+        stage("run_manifest.json").write_text(
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
     return risk, reports
-
-
-def _temporary(path: Path) -> Path:
-    """Where ``path`` is written before ``os.replace`` moves it into place."""
-    return path.with_name(f".{path.name}.{os.getpid()}.tmp")
-
-
-@contextmanager
-def _replacing(path: Path):
-    """A temporary path to write ``path`` at. When the block completes, it is
-    moved onto ``path`` with ``os.replace``; when it fails, it is removed, so
-    ``path`` is either complete or as it was."""
-    temporary = _temporary(path)
-    try:
-        yield temporary
-        os.replace(temporary, path)
-    except BaseException:
-        temporary.unlink(missing_ok=True)
-        raise
 
 
 def run_pipeline(cfg: PipelineConfig) -> tuple[Dataset, RiskReport, list[EvalReport]]:
@@ -417,8 +411,8 @@ def run_sweep(cfg: PipelineConfig, grid: SweepGrid) -> SweepReport:
     ``error`` of the form ``"<stage>: <error type>: <message>"``, and the
     sweep moves on; any other exception is a bug and propagates. The aggregated
     report is persisted as ``sweep.csv`` (deterministic columns only) and
-    ``sweep.json`` (including wall-clock timings), each written under a
-    temporary name and moved into place once complete. The input is loaded
+    ``sweep.json`` (including wall-clock timings), each staged with
+    ``_staged`` and moved into place once complete. The input is loaded
     once, before any point runs, and an ingestion error is raised unwrapped,
     as its own :class:`ValidationError`.
     """
@@ -455,14 +449,10 @@ def run_sweep(cfg: PipelineConfig, grid: SweepGrid) -> SweepReport:
         ]
 
     report = SweepReport(tuple(rows))
-    try:
-        out_root.mkdir(parents=True, exist_ok=True)
-        with _replacing(out_root / "sweep.csv") as path:
-            report.to_csv(path)
-        with _replacing(out_root / "sweep.json") as path:
-            report.to_json(path)
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+    with _staged(out_root) as stage:
+        report.to_csv(stage("sweep.csv"))
+    with _staged(out_root) as stage:  # sweep.csv stands even if sweep.json fails
+        report.to_json(stage("sweep.json"))
     return report
 
 
@@ -472,8 +462,8 @@ def emit_plot_data(report: SweepReport, out_dir) -> list[Path]:
     For every (E, k): ``accuracy_vs_noise_E<E>_k<k>.csv`` with header
     ``g,classifier,accuracy``. For every (g, k):
     ``risk_vs_smote_g<g>_k<k>.csv`` with header ``smote_percent,risk``.
-    Failed rows are skipped. Each table is written under a temporary name and
-    moved into place once complete.
+    Failed rows are skipped. Each table is staged with ``_staged`` and moved
+    into place once complete.
     """
     rows = [r for r in report.rows if r.status == "ok"]
     if not rows:
@@ -485,18 +475,13 @@ def emit_plot_data(report: SweepReport, out_dir) -> list[Path]:
         # risk is the same for every classifier of a point: the first row's stands
         tables.setdefault((1, r.noise_level, r.k), {}).setdefault(
             r.smote_amount, [r.smote_amount, repr(r.risk)])
-    out = Path(out_dir)
     written: list[Path] = []
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        for (family, value, k), lines in sorted(tables.items()):
-            name, header = _PLOT_TABLES[family]
-            path = out / name.format(value, k)
-            with _replacing(path) as temporary, temporary.open("w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(header)
-                writer.writerows(line for _, line in sorted(lines.items()))
-            written.append(path)
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+    for (family, value, k), lines in sorted(tables.items()):
+        pattern, header = _PLOT_TABLES[family]
+        name = pattern.format(value, k)
+        with _staged(out_dir) as stage, stage(name).open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(line for _, line in sorted(lines.items()))
+        written.append(Path(out_dir) / name)
     return written

@@ -1,4 +1,5 @@
 import json
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -113,6 +114,18 @@ class TestSpecValidation:
     def test_empty_columns(self):
         with pytest.raises(ValidationError):
             QuasiIdentifierSpec((), {})
+
+    @pytest.mark.parametrize("call, error, fragment", [
+        (lambda: QuasiIdentifierSpec(("f0", "f0")), ValidationError, "duplicate quasi-identifier"),
+        (lambda: QuasiIdentifierSpec(("f0",), {"f1": 3}), UnknownColumn, "unknown column 'f1'"),
+        (lambda: QuasiIdentifierSpec.from_dict(
+            json.loads('{"columns": ["f0"], "generalization": {"f0": 1' + "0" * 400 + "}}")),
+         ValidationError, "bin count exceeds"),
+        (lambda: risk_report(EquivalenceClasses(np.zeros(3)), 0), ValidationError, "k must be >= 1"),
+    ], ids=["duplicate column", "rule for an unlisted column", "bins beyond float64", "k below 1"])
+    def test_guard_rejects(self, call, error, fragment):
+        with pytest.raises(error, match=fragment):
+            call()
 
     def test_all_numeric_default(self):
         data = table([[1.0, 2.0, 3.0]])
@@ -316,6 +329,37 @@ class TestGeneralizationCodes:
         out = generalize(table(np.empty((0, 2))), QuasiIdentifierSpec(("f0", "f1"), {"f0": 3}))
         assert out.features.shape == (0, 2)
 
+    def test_subnormal_range_bins_as_its_unit_multiple(self):
+        # 1e-9 * width rounds to 0 at this width: without scaling the maximum
+        # lands one bin past the top
+        u = 5e-324
+        spec = QuasiIdentifierSpec(("f0",), {"f0": 10})
+        codes = generalize(table([[0.0], [18 * u], [19 * u], [20 * u]]), spec).features[:, 0]
+        unit = generalize(table([[0.0], [18.0], [19.0], [20.0]]), spec).features[:, 0]
+        assert codes.tolist() == unit.tolist() == [0.0, 8.0, 9.0, 9.0]
+        classes = equivalence_classes(table([[0.0], [18 * u], [19 * u], [20 * u]]), spec)
+        assert classes.ids.tolist() == [0, 1, 2, 2]
+
+    def test_extreme_ranges_give_codes_in_range(self):
+        big, u = sys.float_info.max, 5e-324
+        ends = np.array([big, -big, np.nextafter(big, 0), u, -u, 7 * u, -3 * u, 2**-1022,
+                         2**-1000, np.nextafter(2**-1000, 0), 0.0, -0.0, 1.0])
+        rng = np.random.default_rng(19)
+        for _ in range(400):
+            values = rng.choice(ends, size=(5, 2))
+            bins = [int(b) for b in rng.choice([1, 2, 3, 10, 2**40, 2**53 + 1, 10**300,
+                                                 int(big)], size=2)]
+            spec = QuasiIdentifierSpec(("f0", "f1"), {"f0": bins[0], "f1": bins[1]})
+            codes = generalize(table(values), spec).features
+            assert np.isfinite(codes).all()
+            assert (codes == np.floor(codes)).all()
+            assert ((0 <= codes) & (codes < np.array(bins, dtype=float))).all()
+            top = codes[values.argmax(axis=0), [0, 1]]
+            for j, b in enumerate(bins):  # past 10**9 bins the guard epsilon spans whole bins
+                if b <= 1000 and values[:, j].max() > values[:, j].min():
+                    assert top[j] == b - 1
+            assert_reference_ids(table(values), spec)
+
 
 class TestPackedGrouping:
     """``equivalence_classes`` gives the very ``ids`` of the float-lexsort
@@ -346,16 +390,6 @@ class TestPackedGrouping:
         for key in keys:
             key = key.astype(np.int64)
             assert anonymity._stable_order(key).tolist() == np.argsort(key, kind="stable").tolist()
-
-    def test_non_finite_codes_take_the_float_path(self, monkeypatch):
-        # bin index floor(x) for x <= 3, else NaN: no int64 word orders it
-        monkeypatch.setattr(anonymity, "_bin_codes",
-                            lambda values, *ranges: np.where(values > 3, np.nan, np.floor(values)))
-        data = table([[0.5, 1.0], [1.5, 0.0], [0.5, 1.0], [3.5, 2.0], [1.5, 0.0]])
-        classes = equivalence_classes(data, QuasiIdentifierSpec(("f1", "f0"), {"f0": 3}))
-        # sorted on f0 then f1; the NaN row sorts last and, as NaN != NaN, alone
-        assert classes.ids.tolist() == [0, 1, 0, 2, 1]
-
 
 AUDIT_POLICIES = ["bins3", "bins10", "bins25", "identity6", "bins4x8", "bins10x12_drop11"]
 

@@ -632,3 +632,18 @@ class TestFactory:
         assert knn.k == 3 and knn.q == 2.0
         dt = make_classifier("dt")
         assert dt.max_depth == 12 and dt.min_leaf == 2
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: KnnClassifier(k=3).fit(table([[0.0], [1.0]], ["a", "b"])), ValidationError,
+     "k=3 exceeds the training size 2"),
+    (lambda: NaiveBayesClassifier().fit(table(np.empty((0, 1)), [])), EmptyTrainSet,
+     "naive Bayes needs training records"),
+    (lambda: SvmClassifier().fit(table(np.empty((0, 1)), [])), EmptyTrainSet,
+     "svm needs training records"),
+    (lambda: LinearSvmModel(np.array([np.nan]), 0.0), ValidationError,
+     "model parameters must be finite"),
+], ids=["knn-k-above-train", "nb-empty-train", "svm-empty-train", "svm-non-finite-model"])
+def test_bad_training_input_rejected(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 import re
 import shlex
 from pathlib import Path
@@ -8,7 +10,9 @@ import pytest
 from privsynth import cli
 from privsynth.anonymity import QuasiIdentifierSpec, equivalence_classes, risk_report
 from privsynth.cli import _COMMANDS, _FLAGS, _pipeline_config, _settings, build_parser, main
+from privsynth.anonymity import RiskReport
 from privsynth.data import Schema, load_csv, stratified_split, write_csv
+from privsynth.metrics import EvalReport
 from privsynth.pipeline import PipelineConfig
 from privsynth.surrogate import make_surrogate
 
@@ -198,6 +202,27 @@ class TestAudit:
         ])
         assert code == 1
 
+    def test_bin_count_beyond_float64_exits_validation(self, workspace, capsys):
+        code = run(["audit", "--input", workspace / "data.csv",
+                    "--schema", workspace / "schema.json", "--bins", "1" + "0" * 400])
+        assert code == 1
+        assert "bin count exceeds" in capsys.readouterr().err
+
+    def test_failed_write_keeps_the_earlier_report(self, workspace, tmp_path, monkeypatch, capsys):
+        argv = ["audit", "--input", workspace / "data.csv", "--schema", workspace / "schema.json",
+                "--out", tmp_path]
+        assert run(argv) == 0
+        before = (tmp_path / "risk.json").read_bytes()
+
+        def partial(self, path):
+            Path(path).write_text('{"k": ')
+            raise OSError(errno.ENOSPC, "No space left on device")
+        monkeypatch.setattr(RiskReport, "save", partial)
+        assert run(argv + ["--k", "3"]) == 2
+        assert "No space left" in capsys.readouterr().err
+        assert (tmp_path / "risk.json").read_bytes() == before
+        assert os.listdir(tmp_path) == ["risk.json"]  # no temporary file
+
 
 class TestEvaluate:
     def test_train_test_reports(self, workspace, tmp_path, capsys):
@@ -212,6 +237,23 @@ class TestEvaluate:
         assert code == 0
         assert "nb: accuracy" in capsys.readouterr().out
         assert (tmp_path / "eval" / "eval_nb.json").exists()
+
+    def test_failed_save_leaves_no_report(self, workspace, tmp_path, monkeypatch, capsys):
+        saved = []
+        real = EvalReport.save
+
+        def second_fails(self, path):
+            if saved:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            saved.append(path)
+            real(self, path)
+        monkeypatch.setattr(EvalReport, "save", second_fails)
+        code = run(["evaluate", "--input", workspace / "train.csv", "--test", workspace / "test.csv",
+                    "--schema", workspace / "schema.json", "--classifiers", "nb,dt",
+                    "--out", tmp_path / "eval"])
+        assert code == 2
+        assert len(saved) == 1
+        assert os.listdir(tmp_path) == []  # no eval_*.json, and no directory made for them
 
     def test_requires_test_file(self, workspace):
         code = run([

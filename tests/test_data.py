@@ -1075,3 +1075,27 @@ class TestSeedsAndHelpers:
         other = Dataset(other_schema, np.ones((1, 1)), np.array(["a"], dtype=object))
         with pytest.raises(ValidationError):
             concat_datasets([data, other])
+
+
+def _xy(rows, labels):
+    return Dataset(XY_SCHEMA, np.asarray(rows, dtype=float), labels)
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: Schema((("x", "numeric"), ("t", "text"), ("label", "label"))), ValidationError,
+     "unknown column kind"),
+    (lambda: XY_SCHEMA.feature_index("z"), MissingColumn, "missing or mismatched column 'z'"),
+    (lambda: Dataset(XY_SCHEMA, np.zeros(2), ["a"]), ValidationError,
+     "features must be a 2-D array"),
+    (lambda: _xy([[0, 0], [1, 1]], ["a"]), ValidationError,
+     "features and labels disagree on record count"),
+    (lambda: concat_datasets([]), ValidationError, "nothing to concatenate"),
+    (lambda: stratified_split(_xy([[0, 0], [1, 1]], ["a", "a"]), 1.0, 0), ValidationError,
+     r"test_fraction must be in \(0, 1\)"),
+    (lambda: shuffle_class_subset(_xy([[0, 0]], ["a"]), "a", -1, 0), ValidationError,
+     "count must be non-negative"),
+], ids=["column-kind", "feature-index", "1-D features", "record-count", "empty-concat",
+        "split-fraction", "negative-subset"])
+def test_guard_rejects(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

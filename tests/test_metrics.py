@@ -156,3 +156,13 @@ class TestEvaluate:
         report = evaluate(KnnClassifier(k=1), train, test)
         assert report.per_class["b"]["recall"] == 0.0
         assert report.accuracy == 0.5
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda: ConfusionMatrix(("a", "b"), [[1, -1], [0, 2]]), "counts must be non-negative"),
+    (lambda: ConfusionMatrix.from_predictions(["a"], ["a", "b"]),
+     "actual and predicted lengths differ"),
+], ids=["negative-count", "length-mismatch"])
+def test_guard_rejects(call, fragment):
+    with pytest.raises(ValidationError, match=fragment):
+        call()

@@ -218,3 +218,14 @@ class TestPerturb:
         # NaN < 0 is False, so a sign check alone lets NaN through
         with pytest.raises(ConfigInvalid):
             NoiseConfig(level=level)
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: GaussianModel(np.zeros(2), np.eye(3)), ValidationError,
+     "mean must be length d and covariance d x d"),
+    (lambda: sample_noise(GaussianModel(np.zeros(2), np.eye(2)), -1, 0), ConfigInvalid,
+     "count must be non-negative"),
+], ids=["shape-mismatch", "negative-count"])
+def test_guard_rejects(call, error, fragment):
+    with pytest.raises(error, match=fragment):
+        call()

@@ -454,6 +454,15 @@ class TestEmitPlotData:
         assert (out / first).read_bytes() == complete[first]
         assert (out / second).read_text() == "an earlier table"
 
+    def test_failed_first_table_removes_the_directories_it_made(self, sweep_report, tmp_path,
+                                                                monkeypatch):
+        def writer(fh):
+            raise OSError(errno.ENOSPC, "No space left on device")
+        monkeypatch.setattr(pipeline, "csv", SimpleNamespace(writer=writer))
+        with pytest.raises(IoFailure, match="No space left"):
+            emit_plot_data(sweep_report, tmp_path / "plots" / "run")
+        assert os.listdir(tmp_path) == []
+
 
 class TestConfigSerialization:
     def test_round_trip(self, small_table, tmp_path):
@@ -499,3 +508,18 @@ class TestConfigSerialization:
             config(small_table, tmp_path, classifiers=("mystery",))
         with pytest.raises(ConfigInvalid):
             config(small_table, tmp_path, test_fraction=1.5)
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda: PipelineConfig("in.csv", "schema.json", 1, SmoteConfig(), NoiseConfig(),
+                            classifiers=()), "at least one classifier required"),
+    (lambda: SweepGrid(noise_levels=0.3), "grid axes must be lists of numbers"),
+    (lambda: SweepGrid(noise_levels=()), "grid axes must be non-empty"),
+    (lambda: SweepGrid(noise_levels=(-0.1,)), "noise levels must be >= 0"),
+    (lambda: SweepGrid(smote_amounts=(0,)), "oversampling amounts must be >= 1"),
+    (lambda: SweepGrid(k_values=(0,)), "k values must be >= 1"),
+], ids=["no-classifiers", "scalar-axis", "empty-axis", "negative-noise", "zero-amount",
+        "zero-k"])
+def test_guard_rejects(call, fragment):
+    with pytest.raises(ConfigInvalid, match=fragment):
+        call()

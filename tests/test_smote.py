@@ -7,6 +7,7 @@ import pytest
 from privsynth.data import Dataset, Schema
 from privsynth.errors import ConfigInvalid, DimensionMismatch, NotEnoughRecords
 from privsynth.smote import (
+    NeighborTable,
     SmoteConfig,
     generate_synthetic,
     minkowski_distance,
@@ -282,3 +283,29 @@ class TestScaling:
         c = times[0] / (sizes[0] ** 2)
         for m, t in zip(sizes[1:], times[1:]):
             assert t <= 3.0 * c * m ** 2
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda: SmoteConfig(amount_percent=0), "amount_percent must be >= 1"),
+    (lambda: SmoteConfig(neighbors=0), "neighbors must be >= 1"),
+    (lambda: SmoteConfig(minkowski_q=0.5), "minkowski_q must be >= 1"),
+    (lambda: NeighborTable(np.zeros((2, 1)), np.zeros((2, 2))),
+     "indices and distances must be matching 2-D arrays"),
+    (lambda: NeighborTable([[1, 2], [0, 2], [0, 1]], [[2.0, 1.0], [1.0, 2.0], [1.0, 2.0]]),
+     "distances must be non-decreasing"),
+    (lambda: NeighborTable([[0], [0]], [[0.0], [1.0]]), "a record may not be its own neighbour"),
+    (lambda: nearest_neighbors(Dataset(SCHEMA_1D, [[0.0], [1.0], [2.0]], ["a", "b", "a"]), 1),
+     "neighbour search expects a single-class dataset"),
+    (lambda: generate_synthetic(one_class([[0.0], [1.0], [2.0]]),
+                                NeighborTable([[1], [0], [1]], [[1.0], [1.0], [1.0]]),
+                                SmoteConfig(neighbors=2)),
+     "neighbour table built for s=1, config says 2"),
+    (lambda: generate_synthetic(one_class([[0.0], [1.0]]),
+                                NeighborTable([[1, 1], [0, 0]], [[1.0, 1.0], [1.0, 1.0]]),
+                                SmoteConfig(neighbors=2)),
+     "neighbors must be smaller than the minority record count"),
+], ids=["amount", "neighbors", "minkowski-q", "table-shapes", "table-order", "table-self",
+        "two-classes", "table-for-other-s", "too-few-minority"])
+def test_guard_rejects(call, fragment):
+    with pytest.raises(ConfigInvalid, match=fragment):
+        call()
