@@ -162,13 +162,18 @@ def _bin_codes(values: np.ndarray, lo, hi, bins) -> np.ndarray:
     """Equal-width bin indices, as floats, of rows whose columns range over
     ``[lo, hi]`` and are cut into ``bins`` bins (one of each per column).
 
-    The guard epsilon keeps ``hi`` inside the top bin; a constant column is
-    all bin 0. Where ``(hi - lo) * bins`` overflows, or the range is so
-    small that the guard rounds to zero, that column is scaled by a power
-    of two first: scaling is exact, so its indices are still the quotients
-    the formula means and lie in [0, bins).
+    The guard epsilon keeps every value below ``hi`` out of the bins past
+    its own; a constant column is all bin 0. Rows equal to ``hi`` in a
+    column with ``hi > lo`` take the top bin, ``floor(nextafter(bins, 0))``
+    (``bins - 1`` up to 2**53), which the formula alone misses from about
+    10**9 bins on, as the epsilon then spans whole bins. Where
+    ``(hi - lo) * bins`` overflows, or the range is so small that the guard
+    rounds to zero, that column is scaled by a power of two first: scaling
+    is exact, so its indices are still the quotients the formula means and
+    lie in [0, bins).
     """
     bins = np.asarray(bins, dtype=np.float64)
+    raw, raw_hi = values, hi
     with np.errstate(over="ignore"):
         width = hi - lo
         scaled = ~np.isfinite(width * bins) | ((width > 0) & (width * 1e-9 == 0))
@@ -178,12 +183,19 @@ def _bin_codes(values: np.ndarray, lo, hi, bins) -> np.ndarray:
         shift[scaled] = 1022 - np.frexp(top)[1] - np.frexp(bins[scaled])[1]
         values, lo, hi = np.ldexp(values, shift), np.ldexp(lo, shift), np.ldexp(hi, shift)
         width = hi - lo
-    width[width == 0] = 1.0  # a constant column, where every values - lo is 0
-    codes = values - lo
-    codes *= bins
+    spread = width > 0
+    width[~spread] = 1.0  # a constant column, where every values - lo is 0
     with np.errstate(over="ignore"):  # only at one bin: an infinite divisor leaves every code 0
-        codes /= width + 1e-9 * width
-    return np.floor(codes, out=codes)
+        divisor = width + 1e-9 * width
+        top = np.floor(np.nextafter(bins, 0))
+        short = spread & (np.floor((hi - lo) * bins / divisor) != top)
+        codes = values - lo
+        codes *= bins
+        codes /= divisor
+    np.floor(codes, out=codes)
+    if short.any():  # columns whose hi the formula leaves below the top bin
+        codes[..., short] = np.where(raw[..., short] == raw_hi[short], top[short], codes[..., short])
+    return codes
 
 
 def _bin_plan(data: Dataset, spec: QuasiIdentifierSpec, names: list) -> tuple:
@@ -266,6 +278,20 @@ def _ordered_word(values: np.ndarray) -> np.ndarray:
     return word
 
 
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Where each run of equal values of the sorted ``ordered`` starts."""
+    starts = np.ones(len(ordered), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    return starts
+
+
+def _tied(starts: np.ndarray) -> np.ndarray:
+    """The positions in runs of two or more, given the runs' ``starts``."""
+    tied = ~starts
+    tied[:-1] |= ~starts[1:]
+    return np.flatnonzero(tied)
+
+
 def _stable_order(key: np.ndarray) -> np.ndarray:
     """``np.argsort(key, kind="stable")`` of an int64 key.
 
@@ -273,19 +299,27 @@ def _stable_order(key: np.ndarray) -> np.ndarray:
     index, each key and its index are packed into one int64 and the packed
     values sorted: they are distinct, so any sort orders them stably, and a
     plain sort of int64 values is several times faster than a stable
-    argsort.
+    argsort. Otherwise an unstable ``np.argsort`` orders the keys, and only
+    the positions in runs of equal keys are sorted again, by row index.
     """
-    if len(key):
-        bits = _index_bits(len(key))
-        lo = int(key.min())
-        if int(key.max()) - lo < 1 << (63 - bits):
-            pairs = key - lo
-            pairs <<= bits
-            pairs |= np.arange(len(key))
-            pairs.sort()
-            pairs &= (1 << bits) - 1
-            return pairs
-    return np.argsort(key, kind="stable")
+    if not len(key):
+        return np.argsort(key)
+    bits = _index_bits(len(key))
+    lo = int(key.min())
+    if int(key.max()) - lo < 1 << (63 - bits):
+        pairs = key - lo
+        pairs <<= bits
+        pairs |= np.arange(len(key))
+        pairs.sort()
+        pairs &= (1 << bits) - 1
+        return pairs
+    order = np.argsort(key)
+    starts = _run_starts(key[order])
+    pos = _tied(starts)
+    if len(pos):
+        rows = order[pos]
+        order[pos] = rows[np.lexsort((rows, np.cumsum(starts)[pos]))]
+    return order
 
 
 def _word_ids(words: list, n: int) -> np.ndarray:
@@ -299,14 +333,9 @@ def _word_ids(words: list, n: int) -> np.ndarray:
     if not words:
         return np.zeros(n, dtype=np.intp)
     order = _stable_order(words[-1])
-    top = words[-1][order]
-    starts = np.ones(n, dtype=bool)
-    np.not_equal(top[1:], top[:-1], out=starts[1:])
-    del top
+    starts = _run_starts(words[-1][order])
     if len(words) > 1:
-        tied = ~starts
-        tied[:-1] |= ~starts[1:]
-        pos = np.flatnonzero(tied)  # the sorted positions in a run of equal top words
+        pos = _tied(starts)  # the sorted positions in a run of equal top words
         if len(pos):
             rows = order[pos]
             keys = [word[rows] for word in words[:-1]]

@@ -38,6 +38,8 @@ from dataclasses import asdict, dataclass, fields, replace
 from itertools import product
 from pathlib import Path
 
+import numpy as np
+
 from .anonymity import QuasiIdentifierSpec, RiskReport, equivalence_classes, risk_report
 from .classifiers import CLASSIFIERS, make_classifier
 from .data import (
@@ -275,11 +277,44 @@ def _audit_spec(cfg: PipelineConfig, schema: Schema) -> QuasiIdentifierSpec:
     return cfg.qi if cfg.qi is not None else QuasiIdentifierSpec.all_numeric(schema)
 
 
-def _row_keys(data: Dataset) -> set:
-    return {
-        (data.features[i].tobytes(), repr(data.labels[i]))
-        for i in range(len(data))
-    }
+def _row_words(features: np.ndarray) -> np.ndarray:
+    """One uint64 per row, the xor of its feature words: rows of equal bytes
+    get equal words."""
+    return np.bitwise_xor.reduce(features.view(np.uint64), axis=1)
+
+
+def _among(words: np.ndarray, pool: np.ndarray) -> np.ndarray:
+    """Which of ``words`` occur in ``pool``; ``np.isin`` by one unstable sort
+    of the pool, several times faster than its stable sort of both."""
+    if not len(pool):
+        return np.zeros(len(words), dtype=bool)
+    pool = np.sort(pool)
+    at = np.searchsorted(pool, words)
+    at[at == len(pool)] = 0
+    return pool[at] == words
+
+
+def _leaked_keys(test: Dataset, merged: Dataset, train: Dataset) -> set:
+    """``(keys(test) & keys(merged)) - keys(train)``, a row's key being its
+    feature bytes and the repr of its label.
+
+    Only the test rows whose ``_row_words`` word a merged row shares are
+    keyed, and only against the merged and train rows that carry one of
+    their words. Rows of equal bytes have equal words, so no leaked row is
+    passed over; unequal rows that share a word are told apart by the keys.
+    """
+    test_words = _row_words(test.features)
+    merged_words = _row_words(merged.features)
+    candidates = _among(test_words, merged_words)
+    if not candidates.any():
+        return set()
+    words = test_words[candidates]
+
+    def keys(data, rows):
+        return {(data.features[i].tobytes(), repr(data.labels[i])) for i in np.flatnonzero(rows)}
+
+    return ((keys(test, candidates) & keys(merged, _among(merged_words, words)))
+            - keys(train, _among(_row_words(train.features), words)))
 
 
 def run_stages(
@@ -302,9 +337,9 @@ def run_stages(
 
     # leakage guard: no test record may enter the table that is perturbed
     # unless the same values also exist in train (duplicate rows can straddle
-    # the split); perturb never sees test, so a copy can only enter before it
-    leaked = (_row_keys(test) & _row_keys(merged)) - _row_keys(train)
-    if leaked:
+    # the split); perturb never sees test, so a copy can only enter before it.
+    # A one-word fold of each row picks the few test rows worth comparing.
+    if _leaked_keys(test, merged, train):
         raise StageError("perturb", ConfigInvalid("test records leaked into the release"))
 
     def audit_and_evaluate():

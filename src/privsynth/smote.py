@@ -10,6 +10,14 @@ subset for the remainder (see :func:`run_smote`).
 All randomness flows from per-record streams derived from the configured
 seed, so results are bit-identical across runs and between serial and
 parallel execution orders.
+
+The draws are defined by a scalar loop, ``_record_draws``: record j's
+stream ``default_rng([seed, j])`` gives a neighbour and then a gap for each
+of its synthetic rows. ``_draws`` takes the same values in bulk, as one
+block of raw PCG64 words per record decoded by array arithmetic the way
+``Generator.integers`` and ``Generator.random`` decode them; a record whose
+bounded draw would be rejected and redrawn, and any call whose spot-checked
+record differs from the scalar loop, is drawn by the loop itself.
 """
 
 from __future__ import annotations
@@ -114,6 +122,96 @@ def nearest_neighbors(minority: Dataset, s: int, q: float = 2.0) -> NeighborTabl
     return NeighborTable(*nearest(feats, feats, s, q, exclude_self=True))
 
 
+# raw words decoded at once: every temporary of a block stays below 128 KiB,
+# from which glibc maps an allocation and, once it is freed, raises that
+# threshold for the rest of the process
+_DRAW_WORDS = 1 << 13
+# Generator.random's double: the top 53 bits of a word, scaled by 2**-53
+_GAP_SCALE = 1.0 / (1 << 53)
+
+
+def _record_draws(seed: int, j: int, per_record: int, s: int) -> tuple:
+    """The definition of record ``j``'s draws: from ``default_rng([seed, j])``,
+    a neighbour position in [0, s) and then a gap in [0, 1) per row."""
+    rng = np.random.default_rng([seed, j])
+    nn = np.empty(per_record, dtype=np.intp)
+    gap = np.empty(per_record, dtype=np.float64)
+    for row in range(per_record):
+        nn[row] = rng.integers(0, s)
+        gap[row] = rng.random()
+    return nn, gap
+
+
+def _decode(words: np.ndarray, per_record: int, s: int) -> tuple:
+    """Neighbour positions, gaps and a redraw mask of records from their raw
+    PCG64 words, one record a row, as ``_record_draws`` reads them.
+
+    ``random()`` takes a whole word. For s > 1, ``integers(0, s)`` takes a
+    32-bit half: the low half of a fresh word, and at the next call the high
+    half, which PCG64 keeps. A record's words thus run neighbour word, gap,
+    gap, neighbour word, ... Each half maps to ``(half * s) >> 32``, unless
+    ``(half * s) mod 2**32`` falls below ``(2**32 - s) mod s``: Lemire's
+    method then draws again, which moves every later draw of the record, so
+    the record is flagged for redrawing. For s = 1 the neighbour is 0 and
+    takes no word.
+    """
+    if s == 1:
+        nn = np.zeros((len(words), per_record), dtype=np.intp)
+        redraw = np.zeros(len(words), dtype=bool)
+        gaps = words
+    else:
+        pair, high = np.divmod(np.arange(per_record), 2)
+        halves = words[:, 3 * pair] >> (32 * high).astype(np.uint64)
+        halves &= 0xFFFFFFFF
+        halves *= np.uint64(s)
+        nn = halves >> 32
+        halves &= 0xFFFFFFFF
+        redraw = (halves < ((1 << 32) - s) % s).any(axis=1)
+        gaps = words[:, 3 * pair + 1 + high]
+    gap = (gaps >> 11).astype(np.float64)
+    gap *= _GAP_SCALE
+    return nn, gap, redraw
+
+
+def _draws(seed: int, m: int, per_record: int, s: int) -> tuple:
+    """``(m, per_record)`` arrays of neighbour positions and gaps, those of
+    ``_record_draws`` for records 0..m-1.
+
+    Each record's stream gives one ``random_raw`` block, and the blocks of
+    many records are decoded at once (``_decode``). The values are
+    ``_record_draws``' own, not an approximation: a record that ``_decode``
+    flags is drawn by ``_record_draws``, and so is every record if the
+    first record the decode kept differs from ``_record_draws`` (a numpy
+    whose ``Generator`` decodes otherwise). A range of 2**32 or more is
+    drawn from whole words by another method and always takes the loop.
+    """
+    nn = np.empty((m, per_record), dtype=np.intp)
+    gap = np.empty((m, per_record), dtype=np.float64)
+    redraw = range(m)
+    if m and per_record and s < 1 << 32:
+        width = per_record + (per_record + 1) // 2 if s > 1 else per_record
+        block = max(1, _DRAW_WORDS // width)
+        words = np.empty((block, width), dtype=np.uint64)
+        flagged = []
+        for start in range(0, m, block):
+            stop = min(start + block, m)
+            for i, j in enumerate(range(start, stop)):
+                words[i] = np.random.PCG64([seed, j]).random_raw(width)
+            nn[start:stop], gap[start:stop], rejected = _decode(words[:stop - start], per_record, s)
+            flagged.extend((start + np.flatnonzero(rejected)).tolist())
+        kept = np.ones(m, dtype=bool)
+        kept[flagged] = False
+        redraw = flagged
+        if kept.any():
+            j = int(np.argmax(kept))
+            check_nn, check_gap = _record_draws(seed, j, per_record, s)
+            if check_nn.tobytes() != nn[j].tobytes() or check_gap.tobytes() != gap[j].tobytes():
+                redraw = range(m)
+    for j in redraw:
+        nn[j], gap[j] = _record_draws(seed, j, per_record, s)
+    return nn, gap
+
+
 def generate_synthetic(minority: Dataset, table: NeighborTable, cfg: SmoteConfig) -> Dataset:
     """Create ``floor(E/100)`` synthetic records per minority record.
 
@@ -121,8 +219,12 @@ def generate_synthetic(minority: Dataset, table: NeighborTable, cfg: SmoteConfig
     interpolation gap uniformly in [0, 1); the new point is
     ``original + gap * (neighbour - original)``, so every attribute stays
     inside the parent pair's value interval. Record ``j`` draws from the
-    stream ``(cfg.seed, j)``, making the output independent of generation
-    order.
+    stream ``(cfg.seed, j)``, a neighbour and then a gap per synthetic
+    record, making the output independent of generation order. The draws
+    are decoded in bulk from each stream's raw words (``_draws``) and are
+    bit for bit those of the per-record loop ``_record_draws``, which
+    defines them and draws whatever the decode cannot vouch for; the
+    interpolation is one array expression.
     """
     if table.neighbors != cfg.neighbors:
         raise ConfigInvalid(
@@ -134,24 +236,15 @@ def generate_synthetic(minority: Dataset, table: NeighborTable, cfg: SmoteConfig
     per_record = cfg.amount_percent // 100
     feats = minority.features
     m = len(feats)
-    # the draws stay per record and in stream order (a neighbour, then a gap,
-    # per synthetic row); the interpolation is one array expression
-    nn = np.empty(m * per_record, dtype=np.intp)
-    gap = np.empty(m * per_record, dtype=np.float64)
-    for j in range(m):
-        rng = np.random.default_rng([cfg.seed, j])
-        for row in range(j * per_record, (j + 1) * per_record):
-            nn[row] = rng.integers(0, cfg.neighbors)
-            gap[row] = rng.random()
-    parent = np.repeat(np.arange(m), per_record)
-    base = feats[parent]
-    out = feats[table.indices[parent, nn]]
+    nn, gap = _draws(cfg.seed, m, per_record, cfg.neighbors)
+    out = feats[np.take_along_axis(table.indices, nn, axis=1)]  # (m, per_record, d)
+    base = feats[:, None]
     out -= base
-    out *= gap[:, None]
+    out *= gap[..., None]
     out += base
     label = minority.labels[0] if m else None
-    labels = np.array([label] * (m * per_record), dtype=object)
-    return Dataset(minority.schema, out, labels)
+    return Dataset(minority.schema, out.reshape(m * per_record, feats.shape[1]),
+                   np.full(m * per_record, label, dtype=object))
 
 
 def synthetic_count(amount_percent: int, minority_size: int) -> int:

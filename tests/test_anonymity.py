@@ -53,14 +53,16 @@ def bruteforce_groups(generalized, columns):
 
 def reference_bin_column(values, bins):
     """The equal-width bin formula as it stood before overflowing ranges were
-    scaled: every column whose ``(hi - lo) * bins`` is finite keeps these
-    indices bit for bit."""
+    scaled, with the column maximum in the top bin: every column whose
+    ``(hi - lo) * bins`` is finite keeps these indices bit for bit."""
     lo = values.min()
     hi = values.max()
     if hi == lo:
         return np.zeros(values.shape, dtype=np.float64)
     width = hi - lo
-    return np.floor((values - lo) * bins / (width + 1e-9 * width))
+    codes = np.floor((values - lo) * bins / (width + 1e-9 * width))
+    codes[values == hi] = np.floor(np.nextafter(float(bins), 0))
+    return codes
 
 
 def reference_equivalence_ids(data, spec):
@@ -318,6 +320,17 @@ class TestGeneralizationCodes:
         classes = equivalence_classes(data, QuasiIdentifierSpec(("f0",), {"f0": 4}))
         assert classes.ids.tolist() == [0, 2, 2, 1, 1]
 
+    @pytest.mark.parametrize("bins", [10**9, 2**40, int(sys.float_info.max)])
+    def test_maximum_takes_the_top_bin(self, bins):
+        values = np.array([[1.0], [0.0], [0.5], [1.0], [np.nextafter(1.0, 0)]])
+        codes = generalize(table(values), QuasiIdentifierSpec(("f0",), {"f0": bins})).features[:, 0]
+        top = np.floor(np.nextafter(float(bins), 0))
+        assert top == (bins - 1 if bins <= 2**53 else np.nextafter(float(bins), 0))
+        assert codes[[0, 3]].tolist() == [top, top]
+        assert codes[1] == 0 and codes[4] < top
+        assert (np.diff(codes[[1, 2, 4, 0]]) >= 0).all()
+        assert_reference_ids(table(values), QuasiIdentifierSpec(("f0",), {"f0": bins}))
+
     @pytest.mark.parametrize("bins", [2, 4, 1000, 2**40, 2**70])
     def test_overflowing_codes_lie_in_range(self, bins):
         values = np.array([-1.7e308, -1e300, -1.0, 0.0, 1e-300, 2.5, 1e307, 1.7e308])
@@ -390,6 +403,21 @@ class TestPackedGrouping:
         for key in keys:
             key = key.astype(np.int64)
             assert anonymity._stable_order(key).tolist() == np.argsort(key, kind="stable").tolist()
+
+    def test_stable_order_of_full_range_keys(self):
+        # keys spanning all of int64 leave no bits for the row index: an
+        # unstable sort, with only the runs of equal keys sorted again
+        rng = np.random.default_rng(5)
+        extremes = np.array([-2**63, 2**63 - 1, 0, -1], dtype=np.int64)
+        keys = {
+            "all distinct": rng.integers(-2**63, 2**63 - 1, 5000, dtype=np.int64, endpoint=True),
+            "heavily tied": rng.choice(extremes, 5000),
+            "some tied": np.concatenate([rng.integers(-2**63, 2**63 - 1, 3000, dtype=np.int64),
+                                         rng.choice(extremes, 2000)]),
+        }
+        for case, key in keys.items():
+            rng.shuffle(key)
+            assert anonymity._stable_order(key).tolist() == np.argsort(key, kind="stable").tolist(), case
 
 AUDIT_POLICIES = ["bins3", "bins10", "bins25", "identity6", "bins4x8", "bins10x12_drop11"]
 

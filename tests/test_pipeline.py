@@ -11,7 +11,7 @@ import pytest
 from privsynth import data as data_module
 from privsynth import pipeline
 from privsynth.anonymity import QuasiIdentifierSpec
-from privsynth.data import Dataset, derive_seed, stratified_split, write_csv
+from privsynth.data import Dataset, Schema, derive_seed, stratified_split, write_csv
 from privsynth.errors import ConfigInvalid, IoFailure, StageError, ValidationError
 from privsynth.noise import NoiseConfig
 from privsynth.pipeline import (
@@ -167,6 +167,49 @@ class TestRunPipeline:
             assert info.value.stage == "perturb"
             assert not (tmp_path / "leak").exists()  # the guard runs before any write
         assert forks == []  # and before the writer is forked
+
+
+def rows(feats, labels):
+    return Dataset(Schema((("x", "numeric"), ("y", "numeric"), ("label", "label"))),
+                   np.array(feats, dtype=float), np.array(labels, dtype=object))
+
+
+class TestLeakageGuardKeys:
+    """``_leaked_keys`` is ``(keys(test) & keys(merged)) - keys(train)`` on
+    (feature bytes, repr(label)) keys, whatever rows share a word."""
+
+    TRAIN = [[1.0, 2.0], [3.0, 4.0]]
+
+    @pytest.fixture(params=["row words", "one word for every row"])
+    def words(self, request, monkeypatch):
+        if request.param != "row words":  # every test row is then a candidate
+            monkeypatch.setattr(pipeline, "_row_words",
+                                lambda features: np.zeros(len(features), dtype=np.uint64))
+
+    def leaked(self, test, test_labels, extra, extra_labels):
+        train = rows(self.TRAIN, ["a", "b"])
+        merged = rows(self.TRAIN + extra, ["a", "b"] + extra_labels)
+        return pipeline._leaked_keys(rows(test, test_labels), merged, train)
+
+    def test_leaked_row_fires(self, words):
+        leaked = self.leaked([[5.0, 6.0], [7.0, 8.0]], ["a", "b"], [[2.0, 3.0], [5.0, 6.0]], ["a", "a"])
+        assert leaked == {(np.array([5.0, 6.0]).tobytes(), "'a'")}
+
+    def test_duplicate_straddling_the_split_does_not_fire(self, words):
+        assert self.leaked([[1.0, 2.0]], ["a"], [[2.0, 3.0]], ["a"]) == set()
+
+    def test_same_features_other_label_does_not_fire(self, words):
+        assert self.leaked([[5.0, 6.0]], ["b"], [[5.0, 6.0]], ["a"]) == set()
+
+    def test_signed_zeros_are_different_rows(self, words):
+        assert self.leaked([[0.0, 6.0]], ["a"], [[-0.0, 6.0]], ["a"]) == set()
+        assert self.leaked([[-0.0, 6.0]], ["a"], [[-0.0, 6.0]], ["a"]) == {
+            (np.array([-0.0, 6.0]).tobytes(), "'a'")}
+
+    def test_empty_tables(self, words):
+        assert self.leaked(np.empty((0, 2)), [], [], []) == set()
+        empty = rows(np.empty((0, 2)), [])
+        assert pipeline._leaked_keys(rows([[5.0, 6.0]], ["a"]), empty, empty) == set()
 
 
 ARTIFACTS = ["eval_dt.json", "eval_nb.json", "released.csv", "risk.json", "run_manifest.json"]

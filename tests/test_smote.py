@@ -4,7 +4,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from privsynth.data import Dataset, Schema
+from privsynth import smote
+from privsynth.data import Dataset, Schema, derive_seed
 from privsynth.errors import ConfigInvalid, DimensionMismatch, NotEnoughRecords
 from privsynth.smote import (
     NeighborTable,
@@ -183,6 +184,89 @@ class TestGenerateSynthetic:
         a = generate_synthetic(minority, table, SmoteConfig(200, 4, seed=77))
         b = generate_synthetic(minority, table, SmoteConfig(200, 4, seed=77))
         assert np.array_equal(a.features, b.features)
+
+
+def literal_draws(seed, m, per_record, s):
+    """The per-record scalar loop: a neighbour, then a gap, per synthetic row."""
+    nn, gap = [], []
+    for j in range(m):
+        stream = np.random.default_rng([seed, j])
+        for _ in range(per_record):
+            nn.append(stream.integers(0, s))
+            gap.append(stream.random())
+    return np.array(nn, dtype=np.intp), np.array(gap, dtype=np.float64)
+
+
+def assert_literal_draws(seed, m, per_record, s):
+    nn, gap = smote._draws(seed, m, per_record, s)
+    expected_nn, expected_gap = literal_draws(seed, m, per_record, s)
+    where = (seed, m, per_record, s)
+    assert nn.tobytes() == expected_nn.tobytes(), where
+    assert gap.tobytes() == expected_gap.tobytes(), where
+
+
+@pytest.fixture
+def loop_calls(monkeypatch):
+    """The records ``_draws`` hands to the per-record loop, in call order."""
+    calls = []
+    real = smote._record_draws
+
+    def spy(seed, j, per_record, s):
+        calls.append(j)
+        return real(seed, j, per_record, s)
+
+    monkeypatch.setattr(smote, "_record_draws", spy)
+    return calls
+
+
+class TestBulkDraws:
+    """``_draws`` decodes raw PCG64 words in bulk; its bytes are the loop's."""
+
+    @pytest.mark.parametrize("per_record", [1, 2, 3, 5, 20])
+    @pytest.mark.parametrize("s", [1, 2, 5, 7])
+    def test_matches_the_scalar_loop(self, s, per_record):
+        for seed in range(20):
+            assert_literal_draws(seed * 2654435761 + 3, 9, per_record, s)
+
+    def test_blocks_of_records(self):
+        # 20 rows a record make 30 words: a block of 273 records, so 600
+        # records take three blocks
+        assert_literal_draws(derive_seed(5, "blocks"), 600, 20, 5)
+
+    @pytest.mark.parametrize("s", [2**31 + 1, 2**32 - 1, 2**32, 2**33])
+    def test_wide_ranges(self, s):
+        for per_record in (1, 2, 5):
+            assert_literal_draws(17, 40, per_record, s)
+
+    def test_rejected_draws_take_the_loop(self, loop_calls):
+        # at s = 3e9 Lemire's method redraws about 30 % of the halves
+        assert_literal_draws(11, 60, 2, 3_000_000_000)
+        assert 1 < len(set(loop_calls)) < 60
+
+    def test_no_records_or_rows(self):
+        for m, per_record in ((0, 5), (4, 0)):
+            nn, gap = smote._draws(1, m, per_record, 5)
+            assert nn.shape == gap.shape == (m, per_record)
+
+    def test_spot_check_falls_back_to_the_loop(self, monkeypatch, loop_calls):
+        rng = np.random.default_rng(8)
+        minority = one_class(rng.normal(size=(30, 2)))
+        table = nearest_neighbors(minority, s=3)
+        cfg = SmoteConfig(500, 3, seed=21)
+        expected = generate_synthetic(minority, table, cfg)
+        assert len(loop_calls) == 1  # the spot check alone
+        real = smote._decode
+
+        def corrupt(words, per_record, s):
+            words = words.copy()
+            words[:, -1] ^= np.uint64(1 << 40)  # a bit of each record's last gap
+            return real(words, per_record, s)
+
+        monkeypatch.setattr(smote, "_decode", corrupt)
+        loop_calls.clear()
+        synth = generate_synthetic(minority, table, cfg)
+        assert synth.features.tobytes() == expected.features.tobytes()
+        assert sorted(set(loop_calls)) == list(range(30))
 
 
 class TestRunSmote:
