@@ -10,12 +10,13 @@ Continuous columns must be generalized before exact-match grouping means
 anything; the built-in rule is equal-width binning over the column's own
 min/max range.
 
-Grouping never builds the records-by-columns matrix of generalized values. A
-block of rows at a time, runs of binned columns are packed into int64 words
-in mixed radix and every other column becomes an int64 word that orders as
-its floats; the rows are then sorted on those words, most significant first,
-and their classes read off where a word changes. Class ids are those of a
-stable ``np.lexsort`` over the generalized columns.
+Grouping never builds the records-by-columns matrix of generalized values.
+Each binned column's bin constants are worked out once per call; then, one
+column at a time over blocks of rows, runs of binned columns are packed into
+int64 words in mixed radix and every other column becomes an int64 word that
+orders as its floats. The rows are sorted on those words, most significant
+first, and their classes read off where a word changes. Class ids are those
+of a stable ``np.lexsort`` over the generalized columns.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import operator
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +41,9 @@ DEFAULT_BINS = 10
 
 # the bits of a float64 below its sign
 _LOW_63 = np.int64((1 << 63) - 1)
-# rows generalized at once: the block of the feature matrix stays in cache
-_BLOCK_ROWS = 4096
+# rows packed at once: each block-long float64 buffer is 128 KiB, so one
+# pass over a block's columns works in cache
+_BLOCK_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -158,9 +161,25 @@ class RiskReport:
         Path(path).write_text(self.to_json(), encoding="utf-8")
 
 
-def _bin_codes(values: np.ndarray, lo, hi, bins) -> np.ndarray:
-    """Equal-width bin indices, as floats, of rows whose columns range over
-    ``[lo, hi]`` and are cut into ``bins`` bins (one of each per column).
+class _Bins(NamedTuple):
+    """One binned column's constants for ``_bin_into``: the power of two
+    ``shift`` that scales the column and its scaled ``lo``, the bin count
+    ``bins`` as a float, the ``divisor`` ``width + 1e-9 * width``, the code
+    ``top`` of the column's ``hi``, whether the formula leaves ``hi`` below
+    that code (``short``) and ``hi`` itself, unscaled."""
+
+    shift: int
+    lo: float
+    bins: float
+    divisor: float
+    top: float
+    short: bool
+    hi: float
+
+
+def _bin_constants(lo: np.ndarray, hi: np.ndarray, bins: list) -> list:
+    """The ``_Bins`` of columns that range over ``[lo, hi]`` and are cut
+    into ``bins`` equal-width bins (one of each per column).
 
     The guard epsilon keeps every value below ``hi`` out of the bins past
     its own; a constant column is all bin 0. Rows equal to ``hi`` in a
@@ -173,15 +192,15 @@ def _bin_codes(values: np.ndarray, lo, hi, bins) -> np.ndarray:
     lie in [0, bins).
     """
     bins = np.asarray(bins, dtype=np.float64)
-    raw, raw_hi = values, hi
+    raw_hi = hi
+    shift = np.zeros(len(bins), dtype=int)
     with np.errstate(over="ignore"):
         width = hi - lo
         scaled = ~np.isfinite(width * bins) | ((width > 0) & (width * 1e-9 == 0))
     if scaled.any():
-        shift = np.zeros(scaled.shape, dtype=int)
         top = np.maximum(-lo, hi)[scaled]
         shift[scaled] = 1022 - np.frexp(top)[1] - np.frexp(bins[scaled])[1]
-        values, lo, hi = np.ldexp(values, shift), np.ldexp(lo, shift), np.ldexp(hi, shift)
+        lo, hi = np.ldexp(lo, shift), np.ldexp(hi, shift)
         width = hi - lo
     spread = width > 0
     width[~spread] = 1.0  # a constant column, where every values - lo is 0
@@ -189,39 +208,71 @@ def _bin_codes(values: np.ndarray, lo, hi, bins) -> np.ndarray:
         divisor = width + 1e-9 * width
         top = np.floor(np.nextafter(bins, 0))
         short = spread & (np.floor((hi - lo) * bins / divisor) != top)
-        codes = values - lo
-        codes *= bins
-        codes /= divisor
-    np.floor(codes, out=codes)
-    if short.any():  # columns whose hi the formula leaves below the top bin
-        codes[..., short] = np.where(raw[..., short] == raw_hi[short], top[short], codes[..., short])
-    return codes
+    top[~spread] = 0.0
+    return [_Bins(*column) for column in zip(shift.tolist(), lo, bins, divisor, top, short.tolist(), raw_hi)]
 
 
-def _bin_plan(data: Dataset, spec: QuasiIdentifierSpec, names: list) -> tuple:
-    """How to generalize the feature columns ``names``: their positions in
-    ``names``, the binned ones first; the feature index at each of those
-    positions; and ``(lo, hi, bins)`` of the binned columns for
-    ``_bin_codes``, each range the whole column's."""
-    rules = [spec.rule_for(c) for c in names]
-    binned = [i for i, rule in enumerate(rules) if isinstance(rule, int)]
-    slots = binned + [i for i, rule in enumerate(rules) if not isinstance(rule, int)]
-    columns = [data.schema.feature_index(names[i]) for i in slots]
-    at = columns[:len(binned)]
-    if at and len(data):
-        lo, hi = data.features.min(axis=0)[at], data.features.max(axis=0)[at]
-    else:
-        lo = hi = np.zeros(len(at))
-    return slots, columns, (lo, hi, [rules[i] for i in binned])
-
-
-def _generalized(rows: np.ndarray, columns: list, ranges: tuple) -> np.ndarray:
-    """A fresh matrix of the feature ``rows`` in ``columns``, the first
-    ``len(ranges[0])`` of them replaced by their bin indices."""
-    out = rows[:, columns]
-    binned = out[:, :len(ranges[0])]
-    binned[...] = _bin_codes(binned, *ranges)
+def _bin_into(out: np.ndarray, values: np.ndarray, column: _Bins) -> np.ndarray:
+    """Write the equal-width bin indices, as floats, of one column's
+    ``values`` into ``out`` and return it: ``floor(((ldexp(values, shift) -
+    lo) * bins) / divisor)``, and the top bin where the formula leaves
+    ``hi`` short of it."""
+    with np.errstate(over="ignore"):
+        if column.shift:
+            np.ldexp(values, column.shift, out=out)
+            out -= column.lo
+        else:
+            np.subtract(values, column.lo, out=out)
+        out *= column.bins
+        out /= column.divisor
+    np.floor(out, out=out)
+    if column.short:
+        np.copyto(out, column.top, where=values == column.hi)
     return out
+
+
+def _column_ranges(feats: np.ndarray, at: list) -> tuple:
+    """The minima and maxima of the columns ``at`` of a non-empty matrix.
+
+    A zero extreme held by both 0.0 and -0.0 takes the sign of the
+    column's last zero, as a reduction in row order gives it (``np.minimum``
+    and ``np.maximum`` return their second argument on a tie), so every
+    value is bit for bit that of ``feats.min(axis=0)`` or ``max(axis=0)``
+    of a C-ordered matrix of two or more columns, whatever the layout of
+    ``feats``. Contiguous columns are reduced one at a time. A C-ordered
+    matrix is folded 16 rows to a line first, so that each step of its
+    reduction spans 16 rows rather than one.
+    """
+    if feats.flags.f_contiguous:
+        ranges = [np.array([reduce(feats[:, j]) for j in at]) for reduce in (np.min, np.max)]
+    else:
+        n, d = feats.shape
+        cut = n - n % 16
+        ranges = []
+        for extreme in (np.minimum, np.maximum):
+            lines = feats[:0] if not cut else extreme.reduce(feats[:cut].reshape(-1, 16 * d), axis=0)
+            ranges.append(extreme.reduce(np.concatenate([lines.reshape(-1, d), feats[cut:]]), axis=0)[at])
+    for ends in ranges:
+        for i in np.flatnonzero(ends == 0):
+            column = feats[:, at[i]]
+            ends[i] = column[np.flatnonzero(column == 0)[-1]]
+    return tuple(ranges)
+
+
+def _bin_plan(data: Dataset, spec: QuasiIdentifierSpec, names: list) -> list:
+    """How to generalize the feature columns ``names``: for each one, its
+    feature index and its ``_Bins``, or None for a column kept as it is.
+    Each range is the whole column's."""
+    rules = [spec.rule_for(c) for c in names]
+    index = [data.schema.feature_index(c) for c in names]
+    binned = [i for i, rule in enumerate(rules) if isinstance(rule, int)]
+    plan = [None] * len(names)
+    if binned:
+        at = [index[i] for i in binned]
+        lo, hi = _column_ranges(data.features, at) if len(data) else (np.zeros(len(at)),) * 2
+        for i, column in zip(binned, _bin_constants(lo, hi, [rules[i] for i in binned])):
+            plan[i] = column
+    return list(zip(index, plan))
 
 
 def generalize(data: Dataset, spec: QuasiIdentifierSpec) -> Dataset:
@@ -232,9 +283,12 @@ def generalize(data: Dataset, spec: QuasiIdentifierSpec) -> Dataset:
     """
     spec.validate_against(data.schema)
     schema = data.schema.drop_features([c for c in spec.columns if spec.rule_for(c) == DROP])
-    slots, columns, ranges = _bin_plan(data, spec, schema.feature_names)
-    feats = np.empty((len(data), len(slots)))
-    feats[:, slots] = _generalized(data.features, columns, ranges)
+    feats = np.empty((len(data), schema.dim))
+    for out, (j, column) in zip(feats.T, _bin_plan(data, spec, schema.feature_names)):
+        if column is None:
+            out[...] = data.features[:, j]
+        else:
+            _bin_into(out, data.features[:, j], column)
     return Dataset(schema, feats, data.labels)
 
 
@@ -271,11 +325,14 @@ def _layout(radices: list, limit: int) -> list:
     return layout[::-1]
 
 
-def _ordered_word(values: np.ndarray) -> np.ndarray:
-    """int64 keys that order as the finite floats ``values`` do, -0.0 tying 0.0."""
-    word = (values + 0.0).view(np.int64)  # + 0.0 turns -0.0 into 0.0
-    word ^= (word >> 63) & _LOW_63  # below the sign, a negative float's bits grow with |x|
-    return word
+def _ordered_word(values: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Write into the int64 ``out`` keys that order as the finite floats
+    ``values`` do, -0.0 tying 0.0; ``scratch``, an int64 array as long, may
+    be ``values`` itself."""
+    np.add(values, 0.0, out=out.view(np.float64))  # + 0.0 turns -0.0 into 0.0
+    np.right_shift(out, 63, out=scratch)
+    scratch &= _LOW_63  # below the sign, a negative float's bits grow with |x|
+    out ^= scratch
 
 
 def _run_starts(ordered: np.ndarray) -> np.ndarray:
@@ -357,33 +414,39 @@ def equivalence_classes(data: Dataset, spec: QuasiIdentifierSpec) -> Equivalence
     """Group records by exact (``==``) equality of their generalized QI values.
 
     The kept QI columns are packed into int64 words that order as their
-    generalized values do (see ``_layout``), a block of rows at a time, so
-    no matrix of every row and column is held. The rows are sorted on the
-    words as ``np.lexsort`` sorts the columns, the last kept column most
-    significant, and a class starts at each change of word; class ids count
-    up in that order.
+    generalized values do (see ``_layout``), a block of rows and one column
+    at a time, so no matrix of rows and columns is held: a run of binned
+    columns is summed into a float64 buffer, each bin index times its place
+    value, and every other column is keyed by ``_ordered_word``. The rows
+    are sorted on the words as ``np.lexsort`` sorts the columns, the last
+    kept column most significant, and a class starts at each change of
+    word; class ids count up in that order.
     """
     spec.validate_against(data.schema)
-    kept = [c for c in spec.columns if spec.rule_for(c) != DROP]
-    slots, columns, ranges = _bin_plan(data, spec, kept)
-    tops = _bin_codes(ranges[1], *ranges)  # each binned column's top bin, that of its hi
-    slot_of = np.argsort(slots).tolist()  # kept column i sits in slot slot_of[i] of a block
-    radices = [None] * len(kept)
-    for i, top in zip(slots, tops.tolist()):
-        radices[i] = int(top) + 1
+    plan = _bin_plan(data, spec, [c for c in spec.columns if spec.rule_for(c) != DROP])
+    radices = [None if column is None else int(column.top) + 1 for _, column in plan]
     n = len(data)
-    # Below 2**53 a float64 dot product packs a word exactly, and the low
-    # bits stay free for the row index that _stable_order adds.
-    limit = 1 << min(53, 62 - _index_bits(n))
-    layout = [(slot_of[a], slot_of[a] + b - a,
-               None if places is None else np.array(places, dtype=np.float64))
-              for a, b, places in _layout(radices, limit)]
+    # Below 2**53 every partial sum of a packed word is an exact float64
+    # integer, and the low bits stay free for the row index that
+    # _stable_order adds.
+    layout = _layout(radices, 1 << min(53, 62 - _index_bits(n)))
     words = [np.empty(n, dtype=np.int64) for _ in layout]
+    sums, codes = np.empty(min(n, _BLOCK_ROWS)), np.empty(min(n, _BLOCK_ROWS))
     for start in range(0, n, _BLOCK_ROWS):
-        block = _generalized(data.features[start:start + _BLOCK_ROWS], columns, ranges)
+        rows = data.features[start:start + _BLOCK_ROWS]
+        acc, code = sums[:len(rows)], codes[:len(rows)]
         for word, (a, b, places) in zip(words, layout):
-            word[start:start + len(block)] = (
-                _ordered_word(block[:, a]) if places is None else block[:, a:b] @ places)
+            j, column = plan[a]
+            if places is None:  # one column, keyed by its value or its bin index
+                values = rows[:, j] if column is None else _bin_into(code, rows[:, j], column)
+                _ordered_word(values, word[start:start + len(rows)], code.view(np.int64))
+                continue
+            _bin_into(acc, rows[:, j], column)  # the least significant place is 1
+            for (j, column), place in zip(plan[a + 1:b], places[1:]):
+                _bin_into(code, rows[:, j], column)
+                code *= place
+                acc += code
+            word[start:start + len(rows)] = acc
     return EquivalenceClasses(_word_ids(words, n))
 
 

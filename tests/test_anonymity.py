@@ -457,6 +457,84 @@ class TestAuditTable:
         assert classes.ids.tolist() == reference_equivalence_ids(audit_table, spec).tolist()
 
 
+def fortran(data):
+    """The same table with a column-major feature matrix, as ``load_csv`` builds it."""
+    return Dataset(data.schema, np.asfortranarray(data.features), data.labels)
+
+
+def assert_both_layouts(data, spec):
+    """The reference ``ids`` from a column-major copy too, and the same
+    generalized bytes from both layouts."""
+    column_major = fortran(data)
+    assert column_major.features.flags.f_contiguous
+    assert_reference_ids(column_major, spec)
+    assert generalize(column_major, spec).features.tobytes() == generalize(data, spec).features.tobytes()
+
+
+@pytest.fixture(scope="module")
+def audit_table_fortran(audit_table):
+    return fortran(audit_table)
+
+
+class TestColumnMajorLayout:
+    """The grouping and generalization cases again, on column-major tables."""
+
+    @pytest.mark.parametrize("case", list(grouping_cases()))
+    def test_grouping_cases(self, case):
+        feats, columns, rules = grouping_cases()[case]
+        assert_both_layouts(table(feats), QuasiIdentifierSpec(columns, rules))
+
+    def test_random_specs(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            assert_both_layouts(*random_case(rng))
+
+    def test_extreme_subnormal_and_top_bin_cases(self):
+        u, big = 5e-324, sys.float_info.max
+        assert_both_layouts(table([[0.0], [18 * u], [19 * u], [20 * u]]), QuasiIdentifierSpec(("f0",), {"f0": 10}))
+        for bins in (10**9, 2**40, int(big)):
+            values = np.array([[1.0], [0.0], [0.5], [1.0], [np.nextafter(1.0, 0)]])
+            assert_both_layouts(table(values), QuasiIdentifierSpec(("f0",), {"f0": bins}))
+        ends = np.array([big, -big, np.nextafter(big, 0), u, -u, 7 * u, -3 * u, 2**-1022,
+                         2**-1000, np.nextafter(2**-1000, 0), 0.0, -0.0, 1.0])
+        rng = np.random.default_rng(19)
+        for _ in range(400):
+            bins = [int(b) for b in rng.choice([1, 2, 3, 10, 2**40, 2**53 + 1, 10**300, int(big)], size=2)]
+            assert_both_layouts(table(rng.choice(ends, size=(5, 2))),
+                                QuasiIdentifierSpec(("f0", "f1"), {"f0": bins[0], "f1": bins[1]}))
+
+    @pytest.mark.parametrize("policy", AUDIT_POLICIES)
+    def test_audit_table_memory_is_bounded(self, audit_table, audit_table_fortran, policy):
+        spec = audit_policy(policy, audit_table.schema)
+        tracemalloc.start()
+        try:
+            classes = equivalence_classes(audit_table_fortran, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+        assert classes.ids.tolist() == reference_equivalence_ids(audit_table, spec).tolist()
+        generalized = generalize(audit_table_fortran, spec).features
+        assert generalized.tobytes() == generalize(audit_table, spec).features.tobytes()
+
+    @pytest.mark.parametrize("rows", [5, 16, 37, 64])
+    @pytest.mark.parametrize("first", [0.0, -0.0])
+    def test_zero_extremes_keep_their_sign(self, rows, first):
+        # column 0's minimum and column 1's maximum are held by 0.0 and -0.0
+        # both: their sign is that of the last zero, as the row-order
+        # reduction of a C-ordered matrix gives it, on either layout and
+        # however the reduction folds the rows
+        for later in range(1, rows):
+            feats = np.column_stack([np.ones(rows), -np.ones(rows), np.arange(rows) - 2.0])
+            feats[[0, later], :2] = [[first, first], [-first, -first]]
+            expected = (feats.min(axis=0), feats.max(axis=0))
+            for layout in (np.ascontiguousarray, np.asfortranarray):
+                lo, hi = anonymity._column_ranges(layout(feats), [0, 1, 2])
+                assert (lo.tobytes(), hi.tobytes()) == tuple(e.tobytes() for e in expected), (later, layout)
+            spec = QuasiIdentifierSpec(("f0", "f1", "f2"), {"f0": 4, "f1": 4, "f2": 3})
+            assert_both_layouts(table(feats), spec)
+
+
 class TestKAnonymity:
     def groups_of(self, *sizes):
         return EquivalenceClasses(np.repeat(np.arange(len(sizes)), sizes))

@@ -553,6 +553,20 @@ class TestDecisionTree:
         assert max(nodes * classes for nodes, classes in shapes) > 2 ** 16
         assert_same_tree(model.root, reference_tree(train, 9, 1))
 
+    def test_wide_levels_with_competing_splits_match_reference_grower(self, monkeypatch):
+        # 300 classes over 2048 rows of eight binary and three four-valued
+        # attributes: levels of 220 to 454 nodes sort their (node, class)
+        # keys in two or three runs of nodes, and the nodes have splits to
+        # choose between
+        rng = np.random.default_rng(17)
+        idx = np.arange(2048)
+        feats = np.column_stack([(idx[:, None] >> np.arange(8)) & 1, rng.integers(0, 4, (2048, 3))])
+        train = table(feats, ((idx * 7) % 300).tolist())
+        shapes = self.count_searches(monkeypatch)
+        model = DecisionTreeClassifier(max_depth=14, min_leaf=1).fit(train).model
+        assert max(nodes for nodes, _ in shapes) > 2 * (2**16 // 300)
+        assert_same_tree(model.root, reference_tree(train, 14, 1))
+
     def test_predict_query_shapes(self):
         train = surrogate_release(0.3, 130)
         clf = DecisionTreeClassifier().fit(train)
