@@ -232,31 +232,21 @@ def _bin_into(out: np.ndarray, values: np.ndarray, column: _Bins) -> np.ndarray:
 
 
 def _column_ranges(feats: np.ndarray, at: list) -> tuple:
-    """The minima and maxima of the columns ``at`` of a non-empty matrix.
+    """The minima and maxima of the columns ``at`` of a non-empty matrix,
+    from ``feats.min(axis=0)`` and ``max(axis=0)``.
 
-    A zero extreme held by both 0.0 and -0.0 takes the sign of the
+    A zero extreme held by both 0.0 and -0.0 then takes the sign of the
     column's last zero, as a reduction in row order gives it (``np.minimum``
     and ``np.maximum`` return their second argument on a tie), so every
-    value is bit for bit that of ``feats.min(axis=0)`` or ``max(axis=0)``
-    of a C-ordered matrix of two or more columns, whatever the layout of
-    ``feats``. Contiguous columns are reduced one at a time. A C-ordered
-    matrix is folded 16 rows to a line first, so that each step of its
-    reduction spans 16 rows rather than one.
+    value is bit for bit that of a C-ordered matrix of two or more columns,
+    whatever the layout of ``feats``.
     """
-    if feats.flags.f_contiguous:
-        ranges = [np.array([reduce(feats[:, j]) for j in at]) for reduce in (np.min, np.max)]
-    else:
-        n, d = feats.shape
-        cut = n - n % 16
-        ranges = []
-        for extreme in (np.minimum, np.maximum):
-            lines = feats[:0] if not cut else extreme.reduce(feats[:cut].reshape(-1, 16 * d), axis=0)
-            ranges.append(extreme.reduce(np.concatenate([lines.reshape(-1, d), feats[cut:]]), axis=0)[at])
+    ranges = feats.min(axis=0)[at], feats.max(axis=0)[at]
     for ends in ranges:
         for i in np.flatnonzero(ends == 0):
             column = feats[:, at[i]]
             ends[i] = column[np.flatnonzero(column == 0)[-1]]
-    return tuple(ranges)
+    return ranges
 
 
 def _bin_plan(data: Dataset, spec: QuasiIdentifierSpec, names: list) -> list:

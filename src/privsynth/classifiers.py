@@ -325,8 +325,8 @@ def _split_search(order, totals, feats_t, codes, min_leaf):
     the left side adds 2k + 1 to L2 = sum l_c^2 and 2k + 1 - 2 T_c to
     R2 = sum r_c^2, which starts at T2 = sum T_c^2 (T the node's class
     counts), so both are running sums over the sorted rows. One stable sort
-    of each attribute row by (node, class), radix sorts of runs of nodes
-    whose keys fit 16 bits, gives every row its k. The running sums run along
+    of each attribute row by (node, class), a radix sort while nodes x
+    classes fit 16 bits, gives every row its k. The running sums run along
     the whole level row: a node's terms add up to T2 and -T2, so the
     previous node's total is taken back at the first row of each segment
     and every partial sum is the node's own, in [0, m^2] for L2 and in
@@ -373,22 +373,9 @@ def _split_search(order, totals, feats_t, codes, min_leaf):
     counts = totals.ravel()  # group g = node * C + class holds counts[g] rows
     group = codes[order].astype(np.min_scalar_type(counts.size - 1), copy=False)
     group += (node_of * n_classes).astype(group.dtype)
-    # Each attribute row is sorted stably by (node, class), that is by group,
-    # on keys of at most 16 bits, which numpy sorts by radix: the row is in
-    # node order already, so each run of `per` nodes is sorted alone, on its
-    # groups less that of its first node.
-    per = max(1, (1 << 16) // n_classes)
-    key = group - ((node_of - node_of % per) * n_classes).astype(group.dtype)
-    key = key.astype(np.min_scalar_type(min(n_nodes, per) * n_classes - 1), copy=False)
-    cuts = np.append(starts[::per], n)
     # flat (attribute, position) indices of the level, by attribute, group, position
-    rows = np.arange(0, d * n, n)[:, None]
-    runs = []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        runs.append(np.argsort(key[:, a:b], axis=1, kind="stable"))
-        runs[-1] += rows + a
-    by_group = runs[0] if len(runs) == 1 else np.concatenate(runs, axis=1)
-    del key, runs
+    by_group = np.argsort(group, axis=1, kind="stable")
+    by_group += np.arange(0, d * n, n)[:, None]
     start = np.cumsum(counts) - counts
     t2 = np.einsum("kc,kc->k", totals, totals).astype(np.float64)
     # l2 starts as 2k + 1, k the rows before this one along its attribute

@@ -181,6 +181,8 @@ class SweepGrid:
             raise ConfigInvalid(f"grid axes must be lists of numbers: {exc}") from None
         if not (self.noise_levels and self.smote_amounts and self.k_values):
             raise ConfigInvalid("grid axes must be non-empty")
+        if not np.isfinite(self.noise_levels).all():
+            raise ConfigInvalid("noise levels must be finite")
         if any(g < 0 for g in self.noise_levels):
             raise ConfigInvalid("noise levels must be >= 0")
         if any(e < 1 for e in self.smote_amounts):

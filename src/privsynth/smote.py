@@ -173,47 +173,30 @@ def _decode(words: np.ndarray, per_record: int, s: int) -> tuple:
     return nn, gap, redraw
 
 
-def _entropy(seed: int) -> np.ndarray:
-    """The uint32 words ``SeedSequence([seed, j])`` takes its entropy from,
-    for a ``j`` below 2**32 that the caller writes into the last word: an
-    int becomes its 32-bit words, least significant first, 0 one word."""
-    words = [seed & 0xFFFFFFFF]
-    while seed >> 32:
-        seed >>= 32
-        words.append(seed & 0xFFFFFFFF)
-    return np.array(words + [0], dtype=np.uint32)
-
-
 def _draws(seed: int, m: int, per_record: int, s: int) -> tuple:
     """``(m, per_record)`` arrays of neighbour positions and gaps, those of
     ``_record_draws`` for records 0..m-1.
 
-    Each record's stream, seeded from a ready uint32 entropy array
-    (``_entropy``) rather than from the list ``[seed, j]``, gives one
-    ``random_raw`` block, and the blocks of many records are decoded at
-    once (``_decode``). The values are ``_record_draws``' own, not an
-    approximation: a record that ``_decode`` flags is drawn by
-    ``_record_draws``, and so is every record if the first record the
-    decode kept differs from ``_record_draws`` (a numpy whose ``Generator``
-    or ``SeedSequence`` works otherwise). A range of 2**32 or more is drawn
-    from whole words by another method and always takes the loop, as do a
-    negative seed, which ``SeedSequence`` rejects, and more than 2**32
-    records.
+    Each record's stream gives one ``random_raw`` block, and the blocks of
+    many records are decoded at once (``_decode``). The values are
+    ``_record_draws``' own, not an approximation: a record that ``_decode``
+    flags is drawn by ``_record_draws``, and so is every record if the
+    first record the decode kept differs from ``_record_draws`` (a numpy
+    whose ``Generator`` decodes otherwise). A range of 2**32 or more is
+    drawn from whole words by another method and always takes the loop.
     """
     nn = np.empty((m, per_record), dtype=np.intp)
     gap = np.empty((m, per_record), dtype=np.float64)
     redraw = range(m)
-    if m and per_record and s < 1 << 32 and 0 <= seed and m <= 1 << 32:
+    if m and per_record and s < 1 << 32:
         width = per_record + (per_record + 1) // 2 if s > 1 else per_record
         block = max(1, _DRAW_WORDS // width)
         words = np.empty((block, width), dtype=np.uint64)
-        entropy = _entropy(seed)
         flagged = []
         for start in range(0, m, block):
             stop = min(start + block, m)
             for i, j in enumerate(range(start, stop)):
-                entropy[-1] = j
-                words[i] = np.random.PCG64(np.random.SeedSequence(entropy)).random_raw(width)
+                words[i] = np.random.PCG64([seed, j]).random_raw(width)
             nn[start:stop], gap[start:stop], rejected = _decode(words[:stop - start], per_record, s)
             flagged.extend((start + np.flatnonzero(rejected)).tolist())
         kept = np.ones(m, dtype=bool)

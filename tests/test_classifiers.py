@@ -555,9 +555,9 @@ class TestDecisionTree:
 
     def test_wide_levels_with_competing_splits_match_reference_grower(self, monkeypatch):
         # 300 classes over 2048 rows of eight binary and three four-valued
-        # attributes: levels of 220 to 454 nodes sort their (node, class)
-        # keys in two or three runs of nodes, and the nodes have splits to
-        # choose between
+        # attributes: levels of 220 to 454 nodes have more (node, class)
+        # keys than 16 bits hold, and the nodes have splits to choose
+        # between
         rng = np.random.default_rng(17)
         idx = np.arange(2048)
         feats = np.column_stack([(idx[:, None] >> np.arange(8)) & 1, rng.integers(0, 4, (2048, 3))])

@@ -316,6 +316,22 @@ class TestSweepAndPlotdata:
         assert manifest["out_dir"] == str(point)
         assert rerun == {**manifest, "out_dir": str(again)}
 
+    @pytest.mark.parametrize("level", ["nan", "inf"])
+    def test_non_finite_noise_level_runs_no_point(self, workspace, tmp_path, level):
+        out = tmp_path / "sweep"
+        code = run([
+            "sweep",
+            "--input", workspace / "data.csv",
+            "--schema", workspace / "schema.json",
+            "--minority-label", "12",
+            "--classifiers", "nb",
+            "--noise-levels", f"0.1,{level}",
+            "--smote-amounts", "100",
+            "--out", out,
+        ])
+        assert code == 1
+        assert not out.exists() or os.listdir(out) == []
+
     def test_plotdata_missing_report(self, tmp_path):
         code = run(["plotdata", "--report", tmp_path / "none.json", "--out", tmp_path])
         assert code == 1

@@ -561,8 +561,10 @@ class TestConfigSerialization:
     (lambda: SweepGrid(noise_levels=(-0.1,)), "noise levels must be >= 0"),
     (lambda: SweepGrid(smote_amounts=(0,)), "oversampling amounts must be >= 1"),
     (lambda: SweepGrid(k_values=(0,)), "k values must be >= 1"),
+    (lambda: SweepGrid(noise_levels=(0.1, float("nan"))), "noise levels must be finite"),
+    (lambda: SweepGrid(noise_levels=(float("inf"),)), "noise levels must be finite"),
 ], ids=["no-classifiers", "scalar-axis", "empty-axis", "negative-noise", "zero-amount",
-        "zero-k"])
+        "zero-k", "nan-noise", "inf-noise"])
 def test_guard_rejects(call, fragment):
     with pytest.raises(ConfigInvalid, match=fragment):
         call()

@@ -243,18 +243,9 @@ class TestBulkDraws:
         assert_literal_draws(11, 60, 2, 3_000_000_000)
         assert 1 < len(set(loop_calls)) < 60
 
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
-    def test_entropy_seeds_the_list_stream(self, seed):
-        entropy = smote._entropy(seed)
-        for j in (0, 1, 2**32 - 1):
-            entropy[-1] = j
-            ours = np.random.SeedSequence(entropy).generate_state(4)
-            assert ours.tolist() == np.random.SeedSequence([seed, j]).generate_state(4).tolist()
-
-    def test_negative_seed_takes_the_loop(self, loop_calls):
+    def test_negative_seed_raises(self):
         with pytest.raises(ValueError):
             smote._draws(-1, 3, 2, 5)
-        assert loop_calls == [0]
 
     def test_no_records_or_rows(self):
         for m, per_record in ((0, 5), (4, 0)):
