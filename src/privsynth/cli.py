@@ -215,6 +215,8 @@ def _cmd_evaluate(args) -> int:
     test_path = _require(settings.get("test"), "--test")
     schema = Schema.load(_require(settings.get("schema"), "--schema"))
     names = _split_list(settings.get("classifiers", PipelineConfig.classifiers))
+    if not names:
+        raise ConfigInvalid("at least one classifier required")
     seed = settings.get("seed", PipelineConfig.seed)
 
     train = load_csv(train_path, schema)

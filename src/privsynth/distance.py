@@ -16,10 +16,15 @@ accepted only if a rounding bound (``_certified``) proves that every point
 outside the pool is strictly farther than the k-th reference distance;
 every other row falls back to the exact scan of all points, which is also
 the whole search for q != 2. BLAS rounding therefore decides only which
-rows fall back, never an index or a distance. A block holds at most
-``_CELLS`` GEMM values and ``_CELLS`` pool values, in work arrays each
-thread reuses from call to call, so memory is bounded by a fixed number of
-cells, never by n_queries x n_points.
+rows fall back, never an index or a distance. Both searches rank with one
+stable argsort of their distances.
+
+Every search takes ``_CELLS // max(n_points, pool * d)`` query rows (at
+least one) per block. A certified block holds at most ``_CELLS`` GEMM
+values and ``_CELLS`` pool values, in work arrays each thread reuses from
+call to call; a scan block holds at most ``max(_CELLS, n_points) x d``
+differences. Memory is therefore bounded by ``_CELLS`` or one row of all
+points, never by n_queries x n_points.
 """
 
 from __future__ import annotations
@@ -29,8 +34,7 @@ import threading
 
 import numpy as np
 
-_SCAN_ROWS = 256  # query rows per block of the exact scan
-_CELLS = 1 << 17  # GEMM values, and pool attribute values, per certified block
+_CELLS = 1 << 17  # GEMM values, pool attribute values, or scan rows x points, per block
 _POOL_EXTRA = 2  # candidates kept beyond k in the certified search
 # multiply-adds per BLAS call. OpenBLAS runs a product this small on one
 # thread; waking its helper threads for the block's product gains little and
@@ -54,43 +58,15 @@ def _minkowski(diff, q):
     return np.power(np.sum(np.power(diff, q, out=diff), axis=-1), 1.0 / q)
 
 
-def _ties(a, v):
-    """Entries of ``a`` equal to the row value ``v`` in sort order (NaN ties NaN)."""
-    eq = a == v
-    if np.isnan(v).any():
-        eq |= np.isnan(a) & np.isnan(v)
-    return eq
-
-
-def _topk(dist, k):
-    """Columns and values of the k smallest entries of each row of ``dist``,
-    exactly as the first k of a stable argsort."""
-    cols = np.argpartition(dist, k - 1, axis=1)[:, :k]
-    vals = np.take_along_axis(dist, cols, axis=1)
-    # entries equal to the k-th value can straddle the cut; the stable order
-    # keeps the lowest columns among them
-    tied = _ties(dist, vals[:, -1:])
-    kept = _ties(vals, vals[:, -1:])
-    n_tied = np.count_nonzero(tied, axis=1)
-    n_kept = np.count_nonzero(kept, axis=1)
-    short = np.flatnonzero(n_tied > n_kept)
-    if short.size:
-        row, col = np.nonzero(tied[short])  # by row, then by column
-        first = np.cumsum(n_tied[short]) - n_tied[short]
-        lowest = np.arange(row.size) - first[row] < n_kept[short][row]
-        slot_row, slot = np.nonzero(kept[short])  # n_kept slots per row, in row order
-        cols[short[slot_row], slot] = col[lowest]
-    order = np.lexsort((cols, vals), axis=1)
-    return np.take_along_axis(cols, order, axis=1), np.take_along_axis(vals, order, axis=1)
-
-
 def _scan(block, points, k, q, own):
-    """Exact top-k of ``block`` against every point; ``own[i]`` (if given) is
-    the point that query row i may not return."""
+    """Exact top-k of ``block`` against every point, as the first k of a
+    stable argsort of the row's reference distances; ``own[i]`` (if given)
+    is the point that query row i may not return."""
     dist = _minkowski(block[:, None, :] - points, q)
     if own is not None:
         dist[np.arange(block.shape[0]), own] = np.inf
-    return _topk(dist, k)
+    order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    return order, np.take_along_axis(dist, order, axis=1)
 
 
 def _bound(d):
@@ -143,7 +119,7 @@ def nearest(queries, points, k: int, q: float = 2.0, exclude_self: bool = False)
     distances = np.empty((n_q, k), dtype=np.float64)
     pool = k + _POOL_EXTRA
     search = _CertifiedSearch(points, k, pool) if q == 2.0 and pool < n - exclude_self else None
-    step = max(1, _CELLS // max(n, pool * d)) if search else _SCAN_ROWS
+    step = max(1, _CELLS // max(n, pool * d))
     for start in range(0, n_q, step):
         block = queries[start:start + step]
         own = np.arange(start, start + block.shape[0]) if exclude_self else None
@@ -195,20 +171,14 @@ class _CertifiedSearch:
         part.partition(pool, axis=1)
         beyond = part[:, pool].copy()
         mask = np.less(h, beyond[:, None], out=_buffer("mask", (b, n), bool))
-        flat = np.flatnonzero(mask)
-        full = flat.size == b * pool  # no row ties at its cut
-        if full:
-            cand = flat.reshape(b, pool) % n
-        else:
-            row, col = np.divmod(flat, n)
-            count = np.bincount(row, minlength=b)
-            cand = np.zeros((b, pool), dtype=np.intp)
-            cand[row, np.arange(row.size) - (np.cumsum(count) - count)[row]] = col
+        row, col = np.divmod(np.flatnonzero(mask), n)
+        count = np.bincount(row, minlength=b)  # below pool where a row ties at its cut
+        cand = np.zeros((b, pool), dtype=np.intp)
+        cand[row, np.arange(row.size) - (np.cumsum(count) - count)[row]] = col
         diff = np.take(self.points, cand, axis=0, out=_buffer("pool", (b, pool, d)),
                        mode="clip")
         ref = _minkowski(np.subtract(block[:, None, :], diff, out=diff), 2.0)
-        if not full:
-            ref[np.arange(pool) >= count[:, None]] = np.inf  # empty slots sort last
+        ref[np.arange(pool) >= count[:, None]] = np.inf  # empty slots sort last
         # each row's candidates sit in column order, so a stable sort by
         # distance ranks them by distance, then index
         order = np.argsort(ref, axis=1, kind="stable")[:, :self.k]

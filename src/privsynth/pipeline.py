@@ -251,9 +251,25 @@ class SweepReport:
     def load_json(cls, path) -> "SweepReport":
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         try:
-            return cls(tuple(SweepRow(**entry) for entry in payload))
+            rows = tuple(SweepRow(**entry) for entry in payload)
+            if all(map(_well_formed, rows)):
+                return cls(rows)
         except TypeError:
-            raise ValidationError(f"{path} does not hold a sweep report") from None
+            pass
+        raise ValidationError(f"{path} does not hold a sweep report")
+
+
+def _well_formed(row: SweepRow) -> bool:
+    """Whether a loaded row holds the types that ``sweep.json`` writes; an
+    ``"ok"`` row also holds a real accuracy and risk."""
+    def of(value, kind):  # a bool is an int to isinstance, never a number here
+        return isinstance(value, kind) and not isinstance(value, bool)
+    if row.status == "ok":
+        scores = of(row.accuracy, numbers.Real) and of(row.risk, numbers.Real)
+    else:
+        scores = row.status == "failed"
+    return (scores and of(row.noise_level, numbers.Real) and of(row.smote_amount, int)
+            and of(row.k, int) and isinstance(row.classifier, str))
 
 
 def _cell(value) -> str:

@@ -255,6 +255,14 @@ class TestEvaluate:
         assert len(saved) == 1
         assert os.listdir(tmp_path) == []  # no eval_*.json, and no directory made for them
 
+    def test_empty_classifier_list_exits_validation(self, workspace, tmp_path, capsys):
+        code = run(["evaluate", "--input", workspace / "train.csv", "--test", workspace / "test.csv",
+                    "--schema", workspace / "schema.json", "--classifiers", ",",
+                    "--out", tmp_path / "eval"])
+        assert code == 1
+        assert "at least one classifier required" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
     def test_requires_test_file(self, workspace):
         code = run([
             "evaluate",
@@ -481,10 +489,26 @@ class TestErrorPolicy:
         path.write_text(json.dumps(config))
         assert run(["sweep", "--config", path, "--neighbors", "3"]) == 1
 
-    def test_malformed_report_exits_validation(self, tmp_path):
+    @pytest.mark.parametrize("row", [
+        {"no_such_field": 1},
+        {"noise_level": "x"},
+        {"smote_amount": 100.0},
+        {"smote_amount": True},
+        {"k": "2"},
+        {"classifier": 3},
+        {"status": "skipped"},
+        {"accuracy": None},
+        {"risk": "0.5"},
+    ], ids=["no_such_field", "text-noise-level", "float-amount", "boolean-amount", "text-k",
+            "int-classifier", "unknown-status", "ok-without-accuracy", "text-risk"])
+    def test_malformed_report_exits_validation(self, tmp_path, row):
+        if "no_such_field" not in row:
+            row = {"noise_level": 0.1, "smote_amount": 100, "k": 2, "classifier": "nb",
+                   "status": "ok", "accuracy": 0.9, "risk": 0.2, **row}
         report = tmp_path / "sweep.json"
-        report.write_text(json.dumps([{"no_such_field": 1}]))
+        report.write_text(json.dumps([row]))
         assert run(["plotdata", "--report", report, "--out", tmp_path / "plots"]) == 1
+        assert not (tmp_path / "plots").exists()
 
 
 class TestParser:

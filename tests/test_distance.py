@@ -110,7 +110,6 @@ def blocks(request, monkeypatch):
     # small blocks put block boundaries inside every table
     if request.param == "small-blocks":
         monkeypatch.setattr(distance, "_CELLS", 2000)
-        monkeypatch.setattr(distance, "_SCAN_ROWS", 37)
     return request.param
 
 
@@ -209,6 +208,22 @@ def test_memory_does_not_grow_with_queries():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("n", [1000, 2000])
+def test_scan_memory_does_not_grow_with_points(n):
+    # a q = 1 self-search scans every point; a block holds at most _CELLS
+    # (row, point) pairs: their d differences, plus a few arrays of one value
+    # per pair (sums, powers, the sort order)
+    d = 2
+    points = np.random.default_rng(10).normal(size=(n, d))
+    tracemalloc.start()
+    try:
+        nearest(points, points, 3, q=1.0, exclude_self=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < distance._CELLS * 8 * (d + 4)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
