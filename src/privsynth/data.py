@@ -254,7 +254,7 @@ def load_csv(path, schema: Schema) -> Dataset:
     all kept and then copied into one column-major matrix, which the
     ``Dataset`` copies again: the peak is about twice the float64 matrix.
 
-    On two CPUs the data rows of a regular file of four or more estimated
+    On two CPUs the data rows of a regular file of two or more estimated
     chunks are split into two byte ranges, the second starting just past the
     first line feed at or after half the data bytes; a line feed always ends
     a line and never falls inside a UTF-8 sequence. This process parses range
@@ -264,7 +264,7 @@ def load_csv(path, schema: Schema) -> Dataset:
     the rows are read serially from the header on, which gives exactly the
     result or the error described above. The rows are also read serially from
     an input that is not a regular file (a pipe), after a header line with a
-    ``"``, from a table of under four chunks, on one CPU, without
+    ``"``, from a table of one chunk, on one CPU, without
     ``os.fork``, and from a file without a line feed where range 2 should
     start (lines ended by CR alone). A child's ``OSError`` is raised here
     with its errno and message; any other failure in the child raises
@@ -372,7 +372,8 @@ def _halves(fd: int, width: int):
     bytes; None when the rows are to be read serially.
 
     The chunk count is estimated from the line feeds in the first window of
-    data rows.
+    data rows. A table of one chunk is read serially, so each range holds
+    about a chunk or more.
     """
     info = os.fstat(fd)
     if not _two_processes() or not stat.S_ISREG(info.st_mode):
@@ -385,7 +386,7 @@ def _halves(fd: int, width: int):
     size = info.st_size - start
     sample = os.pread(fd, _WINDOW, start)
     rows = sample.count(b"\n") * size / max(1, len(sample))
-    if math.ceil(rows / max(1, _CHUNK_CELLS // width)) < 4:
+    if math.ceil(rows / max(1, _CHUNK_CELLS // width)) < 2:
         return None
     target = start + size // 2
     lf = os.pread(fd, _WINDOW, target).find(b"\n")

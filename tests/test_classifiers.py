@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from privsynth import classifiers
+from privsynth import classifiers, distance
 from privsynth.classifiers import (
     DecisionTreeClassifier,
     KnnClassifier,
@@ -166,10 +166,12 @@ class TestKnn:
         train = table([[0.0, 0.0], [5.0, 5.0], [9.0, 0.0]], ["a", "b", "c"])
         assert KnnClassifier(k=1).fit(train).predict([[5.0, 5.0]])[0] == "b"
 
-    def test_five_point_oracle(self):
+    def test_five_point_oracle(self, monkeypatch):
+        # blocks of 26 to 341 query rows (``_CELLS // max(n, (k + 2) d)``), so
+        # each case's 600 queries cross query-block boundaries at every k
+        monkeypatch.setattr(distance, "_CELLS", 1 << 11)
         cases = ("five_point", "duplicates", "ties", "mixed", "rails")
         for case, q in product(cases, (1.0, 2.0, 3.0)):
-            # 600 queries cross two 256-row query-block boundaries
             points, labels, queries = _knn_case(case)
             n = len(points)
             ranked_all = [

@@ -781,20 +781,29 @@ class TestParallelReader:
                          .encode("utf-8", "surrogateescape"))
         return path
 
-    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
-    @pytest.mark.parametrize("case", sorted(READER_CASES))
-    def test_ranges_match_the_reference(self, tmp_path, ranges, forks, small_field_limit, case, cpus):
+    def match_reference(self, tmp_path, ranges, forks, case, cpus, cells):
         path = self.write(tmp_path, READER_CASES[case](reader_rows()))
         try:
             want = outcome(reference_load_csv, path, XY_SCHEMA)
         except (csv.Error, UnicodeDecodeError):  # the serial read's MalformedCsv
-            ranges(1)
+            ranges(1, cells)
             want = outcome(load_csv, path, XY_SCHEMA)
             assert want[0] is MalformedCsv
-        ranges(cpus)
+        ranges(cpus, cells)
         forks.clear()
         assert outcome(load_csv, path, XY_SCHEMA) == want
         assert len(forks) == (0 if case == "lone CR" else min(cpus, 2) - 1)  # no LF to split after
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    @pytest.mark.parametrize("case", sorted(READER_CASES))
+    def test_ranges_match_the_reference(self, tmp_path, ranges, forks, small_field_limit, case, cpus):
+        self.match_reference(tmp_path, ranges, forks, case, cpus, cells=7)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    @pytest.mark.parametrize("case", sorted(READER_CASES))
+    def test_two_chunks_match_the_reference(self, tmp_path, ranges, forks, small_field_limit, case, cpus):
+        # the smallest table that is split: two chunks of N_ROWS / 2 rows
+        self.match_reference(tmp_path, ranges, forks, case, cpus, cells=3 * N_ROWS // 2)
 
     @pytest.mark.parametrize("cpus", [2, 3, 8])
     def test_quoted_field_across_a_split(self, tmp_path, ranges, forks, cpus):
@@ -819,8 +828,9 @@ class TestParallelReader:
         assert len(forks) == 1
 
     def test_range_count(self, tmp_path, ranges, forks):
-        # 2 rows a chunk: one child at two or more CPUs and four or more chunks
-        for rows, cpus, expected in [(20, 1, 0), (20, 2, 1), (20, 64, 1), (7, 64, 1), (5, 64, 0)]:
+        # 2 rows a chunk: one child at two or more CPUs and two or more chunks
+        for rows, cpus, expected in [(20, 1, 0), (20, 2, 1), (20, 64, 1), (7, 64, 1),
+                                     (5, 64, 1), (3, 64, 1), (2, 64, 0)]:
             ranges(cpus)
             path = self.write(tmp_path, "1.5,2.5,a\n" * rows)
             forks.clear()

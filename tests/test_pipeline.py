@@ -284,7 +284,7 @@ class TestOverlappedWrite:
             monkeypatch.setattr(data_module, "_available_cpus", lambda: cpus)
             forks.clear()
             files[cpus] = landscape_point(tmp_path, f"cpus{cpus}")
-            assert len(forks) == cpus - 1
+            assert len(forks) == 2 * (cpus - 1)  # the reader's and the writer's
         assert sorted(files[2]) == ["eval_dt.json", "eval_knn.json", "eval_nb.json",
                                     "released.csv", "risk.json", "sweep.csv"]
         assert files[1] == files[2]

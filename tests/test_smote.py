@@ -4,7 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from privsynth import smote
+from privsynth import distance, smote
 from privsynth.data import Dataset, Schema, derive_seed
 from privsynth.errors import ConfigInvalid, DimensionMismatch, NotEnoughRecords
 from privsynth.smote import (
@@ -41,12 +41,25 @@ def _adversarial_points():
         "ties": np.arange(15, dtype=float)[:, None],
         # sensor-rail rows clipped at +55 and -18 next to unit-scale data
         "rails": rails,
-        # more than two 256-row query blocks, dense in ties and duplicates
+        # several query blocks (109 rows at s = 599, 218 at s = 2), dense in
+        # ties and duplicates
         "blocks": rng.integers(0, 5, size=(600, 2)).astype(float),
     }
 
 
 ADVERSARIAL_POINTS = _adversarial_points()
+
+
+def block_edges(m, d, ks):
+    """Rows 0 and m - 1 and the rows on each side of every query-block
+    boundary of an m-point self-search of d attributes at each k in ``ks``,
+    under the block rule of ``distance.nearest``."""
+    rows = {0, m - 1}
+    for k in ks:
+        step = distance._CELLS // max(m, (k + distance._POOL_EXTRA) * d)
+        assert step < m, (m, d, k)  # the search crosses a block boundary
+        rows.update(r for edge in range(step, m, step) for r in (edge - 1, edge, edge + 1) if r < m)
+    return sorted(rows)
 
 
 class TestMinkowskiDistance:
@@ -104,9 +117,9 @@ class TestNearestNeighbors:
             m = len(points)
             table = nearest_neighbors(one_class(points), s=m - 1, q=q)
             short = nearest_neighbors(one_class(points), s=2, q=q)
-            # every row of the small sets; rows at the 256-row query-block
-            # boundaries of the large one
-            rows = range(m) if m <= 40 else [0, 1, 255, 256, 257, 511, 512, 513, m - 1]
+            # every row of the small sets; the rows around the large one's
+            # query-block boundaries, in both searches
+            rows = range(m) if m <= 40 else block_edges(m, points.shape[1], (m - 1, 2))
             for j in rows:
                 dists = sorted((minkowski_distance(points[j], points[i], q), i)
                                for i in range(m) if i != j)
