@@ -6,10 +6,7 @@ on a clean held-out split, the way a data consumer would use the release.
     python demos/03_classifier_utility.py
 """
 
-import numpy as np
-
 from privsynth import (
-    Dataset,
     NoiseConfig,
     SmoteConfig,
     evaluate,
@@ -34,13 +31,3 @@ released = perturb(run_smote(train, 12, SmoteConfig(500, 5, seed=3)),
 for name in ("knn", "nb", "dt"):
     report = evaluate(make_classifier(name), released, test)
     print(f"  {name}: accuracy={report.accuracy:.4f} macro_f={report.macro_f_measure:.4f}")
-
-# the linear SVM decision rule is binary; give it a two-activity slice
-print("\nlinear SVM on a two-activity slice:")
-labels = train.labels.tolist()
-keep = [i for i, l in enumerate(labels) if l in (3, 4)]
-keep_test = [i for i, l in enumerate(test.labels.tolist()) if l in (3, 4)]
-pair_train = train.select(np.array(keep))
-pair_test = test.select(np.array(keep_test))
-report = evaluate(make_classifier("svm", seed=9), pair_train, pair_test)
-print(f"  svm: accuracy={report.accuracy:.4f} on {len(pair_test)} test records")

@@ -19,9 +19,7 @@ from .classifiers import (
     DecisionTreeClassifier,
     DecisionTreeModel,
     KnnClassifier,
-    LinearSvmModel,
     NaiveBayesClassifier,
-    SvmClassifier,
     make_classifier,
 )
 from .data import (
@@ -72,7 +70,6 @@ __all__ = [
     "EvalReport",
     "GaussianModel",
     "KnnClassifier",
-    "LinearSvmModel",
     "NaiveBayesClassifier",
     "NeighborTable",
     "NoiseConfig",
@@ -81,7 +78,6 @@ __all__ = [
     "RiskReport",
     "Schema",
     "SmoteConfig",
-    "SvmClassifier",
     "SweepGrid",
     "SweepReport",
     "check_k_anonymity",

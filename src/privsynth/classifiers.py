@@ -1,12 +1,10 @@
 """Reference classifiers used to measure utility retention.
 
-Four classic models, each written directly against its textbook decision
+Three classic models, each written directly against its textbook decision
 rule so results are easy to verify by hand:
 
 - k-nearest neighbours under the Minkowski metric,
 - Gaussian naive Bayes,
-- a linear SVM decision rule ``sign(u . z + c)`` with a stochastic
-  subgradient trainer for the hinge loss,
 - a CART-style decision tree on Gini impurity, grown level by level from
   one presort of the training data: one search per depth scores every
   split of every node of that depth with exact integer Gini quantities, and
@@ -14,8 +12,8 @@ rule so results are easy to verify by hand:
   (``_split_search``).
 
 Each model is one class. Its constructor rejects a bad hyperparameter with
-``ConfigInvalid``, ``fit(train)`` trains it in place (the SVM and the tree keep
-a ``model``), and one batch ``predict(features)`` is its only decision rule;
+``ConfigInvalid``, ``fit(train)`` trains it in place (the tree keeps a
+``model``), and one batch ``predict(features)`` is its only decision rule;
 ``predict`` raises ``ValidationError`` before ``fit`` and ``DimensionMismatch``
 on rows whose width differs from the training data's. Deterministic tie rules
 throughout: equal distances prefer the lower record index, equal scores
@@ -36,7 +34,6 @@ from .errors import (
     ConfigInvalid,
     DimensionMismatch,
     EmptyTrainSet,
-    NonBinaryLabels,
     ValidationError,
 )
 
@@ -157,96 +154,6 @@ class NaiveBayesClassifier:
             scores[:, i] = log_prior[i] + const[i] - quad
         picks = np.argmax(scores, axis=1)  # first maximum = lower class id
         return [self.classes[i] for i in picks]
-
-
-# ---------------------------------------------------------------------------
-# linear SVM
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LinearSvmModel:
-    """Separating hyperplane: weights u and offset c."""
-
-    weights: np.ndarray
-    offset: float
-    negative_label: object = -1
-    positive_label: object = 1
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        if not np.isfinite(w).all() or not np.isfinite(self.offset):
-            raise ValidationError("model parameters must be finite")
-        object.__setattr__(self, "weights", w)
-
-    def predict(self, features: np.ndarray) -> list:
-        """The label on the side ``sign(u . z + c)`` of each row; an exact zero
-        counts as positive."""
-        raw = _queries(features, self.weights.size) @ self.weights + self.offset
-        return [self.positive_label if v >= 0.0 else self.negative_label for v in raw]
-
-
-def _hinge_loss(weights, offset, feats, y) -> float:
-    margins = y * (feats @ weights + offset)
-    return float(np.mean(np.maximum(0.0, 1.0 - margins)))
-
-
-class SvmClassifier:
-    def __init__(self, epochs: int = 30, reg: float = 1e-3, seed: int = 0):
-        if epochs < 1:
-            raise ConfigInvalid(f"epochs must be >= 1, got {epochs}")
-        if not 0.0 < reg < np.inf:
-            raise ConfigInvalid(f"reg must be positive and finite, got {reg}")
-        self.epochs = epochs
-        self.reg = reg
-        self.seed = seed
-        self.name = "svm"
-        self.model: LinearSvmModel | None = None
-
-    def fit(self, train: Dataset) -> "SvmClassifier":
-        """Stochastic subgradient descent on the regularized hinge loss.
-
-        Binary only; the lower class id maps to -1. The kept parameters are
-        the best iterate by training hinge loss, so the result never does worse
-        than the zero model it starts from.
-
-        Raises:
-            EmptyTrainSet: no training records.
-            NonBinaryLabels: the training data does not have exactly two classes.
-        """
-        if len(train) == 0:
-            raise EmptyTrainSet("svm needs training records")
-        classes = train.classes()
-        if len(classes) != 2:
-            raise NonBinaryLabels(f"expected 2 classes, got {len(classes)}")
-        neg, pos = classes
-        y = np.where(class_mask(train.labels, pos), 1.0, -1.0)
-        feats = train.features
-        n, d = feats.shape
-
-        rng = np.random.default_rng(self.seed)
-        u = np.zeros(d)
-        c = 0.0
-        best = (np.zeros(d), 0.0, _hinge_loss(np.zeros(d), 0.0, feats, y))
-        t = 0
-        for _ in range(self.epochs):
-            for i in rng.permutation(n):
-                t += 1
-                eta = 1.0 / (self.reg * t)
-                if y[i] * (u @ feats[i] + c) < 1.0:
-                    u = (1.0 - eta * self.reg) * u + eta * y[i] * feats[i]
-                    c = c + eta * y[i]
-                else:
-                    u = (1.0 - eta * self.reg) * u
-            loss = _hinge_loss(u, c, feats, y)
-            if loss < best[2]:
-                best = (u.copy(), c, loss)
-        self.model = LinearSvmModel(best[0], best[1], negative_label=neg, positive_label=pos)
-        return self
-
-    def predict(self, features: np.ndarray) -> list:
-        if self.model is None:
-            raise ValidationError("fit before predict")
-        return self.model.predict(features)
 
 
 # ---------------------------------------------------------------------------
@@ -538,17 +445,16 @@ class DecisionTreeClassifier:
         return preds
 
 
-# short name -> classifier with its own defaults; only the SVM draws on the seed
+# short name -> classifier class, built with its own defaults; none draws at random
 CLASSIFIERS = {
-    "knn": lambda seed: KnnClassifier(),
-    "nb": lambda seed: NaiveBayesClassifier(),
-    "dt": lambda seed: DecisionTreeClassifier(),
-    "svm": lambda seed: SvmClassifier(seed=seed),
+    "knn": KnnClassifier,
+    "nb": NaiveBayesClassifier,
+    "dt": DecisionTreeClassifier,
 }
 
 
-def make_classifier(name: str, seed: int = 0):
+def make_classifier(name: str):
     """Classifier instance by short name, one of :data:`CLASSIFIERS`."""
     if name not in CLASSIFIERS:
         raise ConfigInvalid(f"unknown classifier {name!r}; pick from {', '.join(CLASSIFIERS)}")
-    return CLASSIFIERS[name](seed)
+    return CLASSIFIERS[name]()

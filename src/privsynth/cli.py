@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple
 
 from .anonymity import DEFAULT_BINS, QuasiIdentifierSpec, equivalence_classes, risk_report
 from .classifiers import CLASSIFIERS, make_classifier
-from .data import Schema, derive_seed, load_csv, parse_label
+from .data import Schema, load_csv, parse_label
 from .errors import ConfigInvalid, PrivsynthError, ValidationError
 from .metrics import evaluate
 from .noise import DIAGONAL_SCALED, FULL_COVARIANCE, NoiseConfig
@@ -211,20 +211,18 @@ def _cmd_audit(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     settings = _settings(args)
+    # every name is checked before a file is read
+    classifiers = [make_classifier(n) for n in
+                   _split_list(settings.get("classifiers", PipelineConfig.classifiers))]
+    if not classifiers:
+        raise ConfigInvalid("at least one classifier required")
     train_path = _require(settings.get("input"), "--input")
     test_path = _require(settings.get("test"), "--test")
     schema = Schema.load(_require(settings.get("schema"), "--schema"))
-    names = _split_list(settings.get("classifiers", PipelineConfig.classifiers))
-    if not names:
-        raise ConfigInvalid("at least one classifier required")
-    seed = settings.get("seed", PipelineConfig.seed)
 
     train = load_csv(train_path, schema)
     test = load_csv(test_path, schema)
-    reports = [
-        evaluate(make_classifier(n, seed=derive_seed(seed, "clf", n)), train, test)
-        for n in names
-    ]
+    reports = [evaluate(clf, train, test) for clf in classifiers]
 
     for report in reports:
         print(f"{report.classifier}: accuracy {report.accuracy:.4f}, "
@@ -268,7 +266,7 @@ class _Command(NamedTuple):
     flags: tuple[str, ...]  # keys of _FLAGS, in --help order
 
 
-_IO = ("--input", "--schema", "--out")  # audit draws nothing at random: no --seed
+_IO = ("--input", "--schema", "--out")  # audit and evaluate draw nothing at random: no --seed
 _PIPELINE = (*_IO, "--seed", "--config", "--minority-label", "--smote-amount", "--neighbors",
              "--noise", "--noise-model", "--qi-columns", "--bins", "--k", "--classifiers",
              "--test-fraction")
@@ -278,7 +276,7 @@ _COMMANDS = {
     "audit": _Command(_cmd_audit, "k-anonymity audit of an existing CSV",
                       (*_IO, "--qi-columns", "--bins", "--k")),
     "evaluate": _Command(_cmd_evaluate, "classifier evaluation on provided train/test CSVs",
-                         (*_IO, "--seed", "--test", "--classifiers")),
+                         (*_IO, "--test", "--classifiers")),
     "sweep": _Command(_cmd_sweep, "run the pipeline over a parameter grid",
                       (*_PIPELINE, "--noise-levels", "--smote-amounts", "--k-values")),
     "plotdata": _Command(_cmd_plotdata, "per-figure CSV tables from a sweep report",

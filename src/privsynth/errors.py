@@ -94,10 +94,6 @@ class EmptyTrainSet(ValidationError):
     pass
 
 
-class NonBinaryLabels(ValidationError):
-    pass
-
-
 class SchemaMismatch(ValidationError):
     pass
 

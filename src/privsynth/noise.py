@@ -81,10 +81,13 @@ class GaussianModel:
 def estimate_covariance(data: Dataset) -> GaussianModel:
     """Column means and the population covariance (1/n) sum (x-mu)(x-mu)^T.
 
+    The sums run over a C-ordered matrix, so equal values give equal bytes
+    whatever the input's memory layout.
+
     Raises:
         TooFewRecords: fewer than 2 records.
     """
-    x = data.features
+    x = np.ascontiguousarray(data.features)
     n = x.shape[0]
     if n < 2:
         raise TooFewRecords(f"covariance needs >= 2 records, got {n}")
@@ -123,7 +126,8 @@ def perturb(data: Dataset, cfg: NoiseConfig) -> Dataset:
         return Dataset(data.schema, feats, data.labels)
 
     if cfg.model == DIAGONAL_SCALED:
-        scale = cfg.level * feats.std(axis=0, ddof=0)
+        # C-ordered, as in estimate_covariance: a column-major std sums pairwise
+        scale = cfg.level * np.ascontiguousarray(feats).std(axis=0, ddof=0)
         rng = np.random.default_rng(cfg.seed)
         noise = rng.standard_normal(feats.shape) * scale
     else:

@@ -364,10 +364,8 @@ def run_stages(
         spec = _stage("audit", _audit_spec, cfg, released.schema)
         classes = _stage("audit", equivalence_classes, released, spec)
         risk = _stage("audit", risk_report, classes, cfg.k)
-        reports = []
-        for name in cfg.classifiers:
-            clf = make_classifier(name, seed=derive_seed(seed, "clf", name))
-            reports.append(_stage("evaluate", evaluate, clf, released, test))
+        reports = [_stage("evaluate", evaluate, make_classifier(name), released, test)
+                   for name in cfg.classifiers]
         return risk, reports
 
     if out_dir is None:

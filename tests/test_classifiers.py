@@ -9,9 +9,7 @@ from privsynth import classifiers, distance
 from privsynth.classifiers import (
     DecisionTreeClassifier,
     KnnClassifier,
-    LinearSvmModel,
     NaiveBayesClassifier,
-    SvmClassifier,
     _TreeNode,
     make_classifier,
 )
@@ -21,7 +19,6 @@ from privsynth.errors import (
     ConfigInvalid,
     DimensionMismatch,
     EmptyTrainSet,
-    NonBinaryLabels,
     ValidationError,
 )
 from privsynth.noise import NoiseConfig, perturb
@@ -312,66 +309,6 @@ class TestNaiveBayes:
         assert wide.predict(queries) == clf.predict(queries[:, :2])
 
 
-class TestSvm:
-    def test_sign_examples(self):
-        model = LinearSvmModel(np.array([1.0, 0.0]), 0.0)
-        assert model.predict([[3.0, 7.0]])[0] == 1
-        assert model.predict([[-2.0, 7.0]])[0] == -1
-
-    def test_boundary_maps_to_plus_one(self):
-        model = LinearSvmModel(np.array([1.0, 1.0]), -2.0)
-        assert model.predict([[1.0, 1.0]])[0] == 1
-
-    def test_random_triples_match_dot_product(self):
-        rng = np.random.default_rng(4)
-        for _ in range(200):
-            u = rng.normal(size=3)
-            c = float(rng.normal())
-            z = rng.normal(size=3)
-            model = LinearSvmModel(u, c)
-            expected = 1 if float(u @ z + c) >= 0 else -1
-            assert model.predict([z])[0] == expected
-
-    def test_dimension_mismatch(self):
-        model = LinearSvmModel(np.array([1.0, 0.0]), 0.0)
-        with pytest.raises(DimensionMismatch):
-            model.predict([[1.0]])
-
-    def test_separable_clusters_perfect_training_accuracy(self):
-        rng = np.random.default_rng(6)
-        left = rng.normal(-5, 0.5, size=(40, 2))
-        right = rng.normal(5, 0.5, size=(40, 2))
-        train = table(np.vstack([left, right]), [-1] * 40 + [1] * 40)
-        clf = SvmClassifier(epochs=40, reg=1e-3, seed=0).fit(train)
-        preds = clf.predict(train.features)
-        actual = [-1] * 40 + [1] * 40
-        assert preds == actual
-
-    def test_loss_never_worse_than_zero_model(self):
-        rng = np.random.default_rng(7)
-        feats = rng.normal(size=(50, 2))
-        labels = ["a" if x[0] + x[1] > 0 else "b" for x in feats]
-        if len(set(labels)) == 1:
-            labels[0] = "a" if labels[0] == "b" else "b"
-        train = table(feats, labels)
-        model = SvmClassifier(epochs=10, reg=1e-2, seed=1).fit(train).model
-        y = np.array([1.0 if l == "b" else -1.0 for l in labels])
-        hinge = np.maximum(0.0, 1.0 - y * (train.features @ model.weights + model.offset)).mean()
-        assert hinge <= 1.0 + 1e-12  # zero-weight loss is exactly 1
-
-    def test_single_class_rejected(self):
-        train = table([[0.0], [1.0]], ["a", "a"])
-        with pytest.raises(NonBinaryLabels):
-            SvmClassifier().fit(train)
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(8)
-        train = table(rng.normal(size=(30, 2)), ["a", "b"] * 15)
-        m1, m2 = (SvmClassifier(epochs=5, reg=1e-2, seed=42).fit(train).model for _ in range(2))
-        assert np.array_equal(m1.weights, m2.weights)
-        assert m1.offset == m2.offset
-
-
 class TestDecisionTree:
     def test_pure_data_single_leaf(self):
         train = table([[0.0], [1.0], [2.0]], ["a", "a", "a"])
@@ -597,7 +534,7 @@ class TestDecisionTree:
 
 
 @pytest.mark.parametrize("width", [1, 3], ids=["d-1", "d+1"])
-@pytest.mark.parametrize("name", ["knn", "nb", "dt", "svm"])
+@pytest.mark.parametrize("name", ["knn", "nb", "dt"])
 def test_predict_rejects_wrong_width(name, width):
     # a 2-attribute model: one column would broadcast against it and a tree
     # that never splits on the third would not look at it
@@ -617,15 +554,9 @@ def test_predict_before_fit_is_rejected(name):
 @pytest.mark.parametrize("make", [
     lambda: KnnClassifier(k=0),
     lambda: KnnClassifier(q=0.5),
-    lambda: SvmClassifier(epochs=0),
-    lambda: SvmClassifier(reg=0.0),
-    lambda: SvmClassifier(reg=-1e-3),
-    lambda: SvmClassifier(reg=float("nan")),
-    lambda: SvmClassifier(reg=float("inf")),
     lambda: DecisionTreeClassifier(max_depth=0),
     lambda: DecisionTreeClassifier(min_leaf=0),
-], ids=["knn-k", "knn-q", "svm-epochs", "svm-reg-zero", "svm-reg-negative", "svm-reg-nan",
-        "svm-reg-inf", "dt-max-depth", "dt-min-leaf"])
+], ids=["knn-k", "knn-q", "dt-max-depth", "dt-min-leaf"])
 def test_bad_hyperparameter_rejected_at_construction(make):
     # Naive Bayes takes no hyperparameters
     with pytest.raises(ConfigInvalid):
@@ -637,11 +568,11 @@ class TestFactory:
         assert isinstance(make_classifier("knn"), KnnClassifier)
         assert isinstance(make_classifier("nb"), NaiveBayesClassifier)
         assert isinstance(make_classifier("dt"), DecisionTreeClassifier)
-        assert isinstance(make_classifier("svm"), SvmClassifier)
 
     def test_unknown_name(self):
-        with pytest.raises(ConfigInvalid):
-            make_classifier("xgboost")
+        for name in ("xgboost", "svm"):
+            with pytest.raises(ConfigInvalid, match="pick from knn, nb, dt$"):
+                make_classifier(name)
 
     def test_defaults_mirror_protocol(self):
         knn = make_classifier("knn")
@@ -655,11 +586,7 @@ class TestFactory:
      "k=3 exceeds the training size 2"),
     (lambda: NaiveBayesClassifier().fit(table(np.empty((0, 1)), [])), EmptyTrainSet,
      "naive Bayes needs training records"),
-    (lambda: SvmClassifier().fit(table(np.empty((0, 1)), [])), EmptyTrainSet,
-     "svm needs training records"),
-    (lambda: LinearSvmModel(np.array([np.nan]), 0.0), ValidationError,
-     "model parameters must be finite"),
-], ids=["knn-k-above-train", "nb-empty-train", "svm-empty-train", "svm-non-finite-model"])
+], ids=["knn-k-above-train", "nb-empty-train"])
 def test_bad_training_input_rejected(call, error, fragment):
     with pytest.raises(error, match=fragment):
         call()

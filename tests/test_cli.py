@@ -188,11 +188,6 @@ class TestAudit:
                 "--schema", workspace / "schema.json",
             ])
 
-    def test_seed_flag_is_a_usage_error(self, workspace):
-        # the audit draws nothing at random, so it takes no --seed
-        assert run(["audit", "--input", workspace / "data.csv",
-                    "--schema", workspace / "schema.json", "--seed", "1"]) == 1
-
     def test_unknown_qi_column(self, workspace):
         code = run([
             "audit",
@@ -270,6 +265,37 @@ class TestEvaluate:
             "--schema", workspace / "schema.json",
         ])
         assert code == 1
+
+    def test_every_classifier_name_is_checked_before_a_file_is_read(
+        self, workspace, tmp_path, monkeypatch, capsys
+    ):
+        missing = tmp_path / "missing.csv"
+        code = run(["evaluate", "--input", missing, "--test", missing,
+                    "--schema", workspace / "schema.json", "--classifiers", "bogus"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "unknown classifier 'bogus'" in err and "missing.csv" not in err
+
+        def unread(*args):
+            raise AssertionError("a CSV was read before every name was checked")
+        monkeypatch.setattr(cli, "load_csv", unread)
+        code = run(["evaluate", "--input", workspace / "train.csv", "--test", workspace / "test.csv",
+                    "--schema", workspace / "schema.json", "--classifiers", "nb,bogus",
+                    "--out", tmp_path / "eval"])
+        assert code == 1
+        assert capsys.readouterr().out == ""
+        assert not (tmp_path / "eval").exists()
+
+
+@pytest.mark.parametrize("command", ["synthesize", "evaluate"])
+def test_svm_is_an_unknown_classifier(workspace, tmp_path, capsys, command):
+    extra = (["--minority-label", "12"] if command == "synthesize"
+             else ["--test", workspace / "test.csv"])
+    assert run([command, "--input", workspace / "train.csv", "--schema", workspace / "schema.json",
+                "--classifiers", "svm", "--out", tmp_path / "o", *extra]) == 1
+    err = capsys.readouterr().err
+    assert "unknown classifier" in err and "'svm'" in err
+    assert os.listdir(tmp_path) == []
 
 
 class TestSweepAndPlotdata:
@@ -524,6 +550,15 @@ class TestParser:
 
     def test_unknown_flag_exits_validation(self, workspace):
         assert run(["audit", "--nope"]) == 1
+
+    @pytest.mark.parametrize("command", ["audit", "evaluate"])
+    def test_seed_flag_is_a_usage_error(self, workspace, command):
+        # neither draws anything at random, so neither takes --seed
+        argv = [command, "--input", workspace / "data.csv", "--schema", workspace / "schema.json",
+                "--seed", "1"]
+        if command == "evaluate":
+            argv += ["--test", workspace / "test.csv"]
+        assert run(argv) == 1
 
     def test_unknown_noise_model_exits_validation(self, workspace, tmp_path):
         # NoiseConfig, not argparse, is the one check of the model name

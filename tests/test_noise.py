@@ -7,12 +7,15 @@ from scipy.special import ndtr
 from privsynth.data import Dataset, Schema
 from privsynth.errors import ConfigInvalid, TooFewRecords, ValidationError
 from privsynth.noise import (
+    DIAGONAL_SCALED,
+    FULL_COVARIANCE,
     GaussianModel,
     NoiseConfig,
     estimate_covariance,
     perturb,
     sample_noise,
 )
+from privsynth.surrogate import make_surrogate
 
 
 def table(feats, labels=None):
@@ -218,6 +221,31 @@ class TestPerturb:
         # NaN < 0 is False, so a sign check alone lets NaN through
         with pytest.raises(ConfigInvalid):
             NoiseConfig(level=level)
+
+
+class TestLayout:
+    """Equal values give equal bytes, whatever the memory layout of the input."""
+
+    @pytest.fixture(scope="class")
+    def layouts(self):
+        data = make_surrogate(3000, seed=1729)
+        feats = data.features
+        return [Dataset(data.schema, f, data.labels) for f in (
+            np.ascontiguousarray(feats),
+            np.asfortranarray(feats),
+            np.asfortranarray(np.repeat(feats, 2, axis=0))[::2],  # a strided view
+        )]
+
+    @pytest.mark.parametrize("model", [DIAGONAL_SCALED, FULL_COVARIANCE])
+    def test_perturb(self, layouts, model):
+        released = [perturb(d, NoiseConfig(0.3, model, seed=4)).features for d in layouts]
+        assert [r.tobytes() for r in released[1:]] == [released[0].tobytes()] * 2
+
+    def test_estimate_covariance(self, layouts):
+        models = [estimate_covariance(d) for d in layouts]
+        for model in models[1:]:
+            assert model.mean.tobytes() == models[0].mean.tobytes()
+            assert model.covariance.tobytes() == models[0].covariance.tobytes()
 
 
 @pytest.mark.parametrize("call, error, fragment", [

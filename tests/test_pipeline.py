@@ -522,7 +522,7 @@ class TestConfigSerialization:
                 smote=SmoteConfig(amount_percent=370, neighbors=3, minkowski_q=3.0),
                 noise=NoiseConfig(level=0.6, model="full_covariance"),
                 k=5, qi=QuasiIdentifierSpec(("a", "b"), {"a": 4, "b": "drop"}),
-                classifiers=("svm", "knn"), test_fraction=0.25, seed=11, out_dir="run",
+                classifiers=("dt", "knn"), test_fraction=0.25, seed=11, out_dir="run",
             )
         else:
             # the defaults of from_dict are the defaults of the dataclasses
@@ -542,6 +542,12 @@ class TestConfigSerialization:
     def test_unknown_key_rejected(self, extra, named):
         payload = {"input": "in.csv", "schema": "schema.json", "minority_label": 12, **extra}
         with pytest.raises(ConfigInvalid, match=named):
+            PipelineConfig.from_dict(payload)
+
+    def test_svm_is_an_unknown_classifier(self):
+        payload = {"input": "in.csv", "schema": "schema.json", "minority_label": 12,
+                   "classifiers": ["svm"]}
+        with pytest.raises(ConfigInvalid, match=r"\['svm'\]; pick from knn, nb, dt$"):
             PipelineConfig.from_dict(payload)
 
     def test_validation(self, small_table, tmp_path):
