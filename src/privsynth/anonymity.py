@@ -8,7 +8,10 @@ the fraction of records sitting in classes smaller than k.
 
 Continuous columns must be generalized before exact-match grouping means
 anything; the built-in rule is equal-width binning over the column's own
-min/max range.
+min/max range. The ranges are read from ``Dataset.extremes``: a table from
+``load_csv`` carries them from the load's finiteness check, and any other
+table reduces its matrix once, on its first audit, so no QI policy reduces
+the table again.
 
 Grouping never builds the records-by-columns matrix of generalized values.
 Each binned column's bin constants are worked out once per call; then, one
@@ -231,20 +234,21 @@ def _bin_into(out: np.ndarray, values: np.ndarray, column: _Bins) -> np.ndarray:
     return out
 
 
-def _column_ranges(feats: np.ndarray, at: list) -> tuple:
-    """The minima and maxima of the columns ``at`` of a non-empty matrix,
-    from ``feats.min(axis=0)`` and ``max(axis=0)``.
+def _column_ranges(data: Dataset, at: list) -> tuple:
+    """The minima and maxima of the feature columns ``at`` of a non-empty
+    table, read from ``data.extremes``, so no call reduces the matrix.
 
-    A zero extreme held by both 0.0 and -0.0 then takes the sign of the
-    column's last zero, as a reduction in row order gives it (``np.minimum``
-    and ``np.maximum`` return their second argument on a tie), so every
-    value is bit for bit that of a C-ordered matrix of two or more columns,
-    whatever the layout of ``feats``.
+    A zero extreme takes the sign of the column's last zero, as a
+    reduction in row order gives it (``np.minimum`` and ``np.maximum``
+    return their second argument on a tie), so every value is bit for bit
+    that of a C-ordered matrix of two or more columns, whether
+    :func:`~privsynth.data.load_csv` or a reduction produced the extremes
+    and whatever the layout of the matrix.
     """
-    ranges = feats.min(axis=0)[at], feats.max(axis=0)[at]
+    ranges = data.extremes[0][at], data.extremes[1][at]
     for ends in ranges:
         for i in np.flatnonzero(ends == 0):
-            column = feats[:, at[i]]
+            column = data.features[:, at[i]]
             ends[i] = column[np.flatnonzero(column == 0)[-1]]
     return ranges
 
@@ -252,14 +256,14 @@ def _column_ranges(feats: np.ndarray, at: list) -> tuple:
 def _bin_plan(data: Dataset, spec: QuasiIdentifierSpec, names: list) -> list:
     """How to generalize the feature columns ``names``: for each one, its
     feature index and its ``_Bins``, or None for a column kept as it is.
-    Each range is the whole column's."""
+    Each range is the whole column's, from :func:`_column_ranges`."""
     rules = [spec.rule_for(c) for c in names]
     index = [data.schema.feature_index(c) for c in names]
     binned = [i for i, rule in enumerate(rules) if isinstance(rule, int)]
     plan = [None] * len(names)
     if binned:
         at = [index[i] for i in binned]
-        lo, hi = _column_ranges(data.features, at) if len(data) else (np.zeros(len(at)),) * 2
+        lo, hi = _column_ranges(data, at) if len(data) else (np.zeros(len(at)),) * 2
         for i, column in zip(binned, _bin_constants(lo, hi, [rules[i] for i in binned])):
             plan[i] = column
     return list(zip(index, plan))

@@ -120,7 +120,9 @@ class NaiveBayesClassifier:
         if len(train) == 0:
             raise EmptyTrainSet("naive Bayes needs training records")
         classes = tuple(train.classes())
-        feats = train.features
+        # C-ordered, as in perturb: a column-major var sums pairwise, so the
+        # floor's bytes would follow the layout
+        feats = np.ascontiguousarray(train.features)
         n, d = feats.shape
         global_var = feats.var(axis=0, ddof=0)
         floor = 1e-9 * global_var

@@ -27,6 +27,7 @@ import traceback
 from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, islice, repeat
 from pathlib import Path
 
@@ -190,6 +191,25 @@ class Dataset:
         idx = np.asarray(indices, dtype=np.intp)
         return Dataset(self.schema, self.features[idx], self.labels[idx])
 
+    @cached_property
+    def extremes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each feature column's minimum and maximum, as two read-only
+        arrays (inf and -inf for a table without rows).
+
+        :func:`load_csv` hands them on from its finiteness check; any other
+        table reduces its matrix the first time they are asked for. Where
+        0.0 and -0.0 both hold an extreme, its sign depends on how it was
+        reduced.
+        """
+        return _read_only(self.features.min(axis=0, initial=np.inf),
+                          self.features.max(axis=0, initial=-np.inf))
+
+
+def _read_only(*arrays) -> tuple:
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
 
 def concat_datasets(parts) -> Dataset:
     parts = list(parts)
@@ -248,27 +268,31 @@ def load_csv(path, schema: Schema) -> Dataset:
     ``csv.reader`` splits the rest of the file. Each chunk's numeric cells are
     converted in one object-to-float64 cast, which calls ``float(cell)``, so
     values are bit-identical to ``float()``, underscores and padding included.
-    Each distinct label text goes through :func:`parse_label` once. A chunk
-    that fails a check is re-run cell by cell to raise its first offending
-    cell. The text is held one chunk at a time, but the converted chunks are
-    all kept and then copied into one column-major matrix, which the
-    ``Dataset`` copies again: the peak is about twice the float64 matrix.
+    Finiteness is checked on each chunk's column minima and maxima, which a
+    NaN or an infinity always reaches; folded over the chunks, they are
+    handed on as the table's :attr:`Dataset.extremes`, so the audit never
+    reduces the matrix again. Each distinct label text goes through
+    :func:`parse_label` once. A chunk that fails a check is re-run cell by
+    cell to raise its first offending cell. The text is held one chunk at a
+    time, but the converted chunks are all kept and then copied into one
+    column-major matrix, which the ``Dataset`` copies again: the peak is
+    about twice the float64 matrix.
 
     On two CPUs the data rows of a regular file of two or more estimated
     chunks are split into two byte ranges, the second starting just past the
     first line feed at or after half the data bytes; a line feed always ends
     a line and never falls inside a UTF-8 sequence. This process parses range
     1 while one forked child parses range 2 and sends back its rows, label
-    codes and label texts through a pipe. When a range meets a ``"``, a chunk
-    that fails a check or bytes that are not UTF-8, the child is killed and
-    the rows are read serially from the header on, which gives exactly the
-    result or the error described above. The rows are also read serially from
-    an input that is not a regular file (a pipe), after a header line with a
-    ``"``, from a table of one chunk, on one CPU, without
-    ``os.fork``, and from a file without a line feed where range 2 should
-    start (lines ended by CR alone). A child's ``OSError`` is raised here
-    with its errno and message; any other failure in the child raises
-    ``RuntimeError``. No child outlives the call.
+    codes, label texts and column extremes through a pipe. When a range
+    meets a ``"``, a chunk that fails a check or bytes that are not UTF-8,
+    the child is killed and the rows are read serially from the header on,
+    which gives exactly the result or the error described above. The rows
+    are also read serially from an input that is not a regular file (a
+    pipe), after a header line with a ``"``, from a table of one chunk, on
+    one CPU, without ``os.fork``, and from a file without a line feed where
+    range 2 should start (lines ended by CR alone). A child's ``OSError``
+    is raised here with its errno and message; any other failure in the
+    child raises ``RuntimeError``. No child outlives the call.
 
     Raises:
         EmptyFile: no header or no data rows.
@@ -313,25 +337,30 @@ def load_csv(path, schema: Schema) -> Dataset:
     del parts  # free the chunks before Dataset copies the matrix
     if stacked is None:
         raise EmptyFile(f"{path} has a header but no data rows")
-    return Dataset(schema, *stacked)
+    features, labels, extremes = stacked
+    data = Dataset(schema, features, labels)
+    vars(data)["extremes"] = _read_only(*extremes)  # what the cached_property would compute
+    return data
 
 
 def _stack(parts, dim: int):
-    """The features and labels of :func:`_read_range` results: one float64
-    matrix, column-major as each chunk's cast leaves it, and the labels, each
-    distinct text through :func:`parse_label` once. None when there are no
-    rows."""
+    """The features, labels and extremes of :func:`_read_range` results: one
+    float64 matrix, column-major as each chunk's cast leaves it, the labels,
+    each distinct text through :func:`parse_label` once, and the columns'
+    minima and maxima over every part. None when there are no rows."""
     parsed: dict = {}  # label text -> parse_label(text)
-    features, labels = [], []
-    for chunks, codes, texts in parts:
+    features, labels, extremes = [], [], []
+    for chunks, codes, texts, ends in parts:
         parsed.update((t, parse_label(t)) for t in set(texts).difference(parsed))
         values = np.array([parsed[t] for t in texts], dtype=object)
         features += chunks
         labels += [values[c] for c in codes]
+        extremes += ends
     if not features:
         return None
+    lows, highs = zip(*extremes)
     return (np.concatenate(features, out=np.empty((sum(map(len, features)), dim), order="F")),
-            np.concatenate(labels))
+            np.concatenate(labels), (np.min(lows, axis=0), np.max(highs, axis=0)))
 
 
 class _ReadSerially(Exception):
@@ -340,8 +369,8 @@ class _ReadSerially(Exception):
 
 def _read_range(fh, expected: list, label_idx: int, whole: bool):
     """The data rows of the text stream ``fh`` as ``(features, codes,
-    texts)``: each chunk's float64 rows and int32 label codes, and the label
-    texts in code order.
+    texts, extremes)``: each chunk's float64 rows, int32 label codes and
+    column ``(minima, maxima)``, and the label texts in code order.
 
     ``whole`` says ``fh`` holds every data row after the header. Then a
     chunk with a ``"`` hands the rest to ``csv.reader``, and a chunk that
@@ -352,7 +381,7 @@ def _read_range(fh, expected: list, label_idx: int, whole: bool):
     width = len(expected)
     numeric = np.array([i for i in range(width) if i != label_idx], dtype=np.intp)
     codes: dict = {}  # label text -> its code
-    features, labels = [], []
+    features, labels, extremes = [], [], []
     row = 2
     for records, cells in _chunks(fh, width, whole):
         chunk = _convert(cells, width, numeric, label_idx, codes)
@@ -362,8 +391,9 @@ def _read_range(fh, expected: list, label_idx: int, whole: bool):
             _raise_first_bad_cell(records, row, expected, label_idx)
         features.append(chunk[0])
         labels.append(chunk[1])
+        extremes.append(chunk[2])
         row += len(chunk[0])
-    return features, labels, list(codes)
+    return features, labels, list(codes), extremes
 
 
 def _halves(fd: int, width: int):
@@ -480,9 +510,12 @@ def _chunks(fh, width: int, whole: bool):
 
 
 def _convert(cells, width: int, numeric, label_idx: int, codes: dict):
-    """One chunk's ``(features, label codes)`` from its flat cells, or None
-    when a cell breaks the per-cell rule of :func:`_raise_first_bad_cell`.
-    New label texts are given the next codes in ``codes``."""
+    """One chunk's ``(features, label codes, (lo, hi))`` from its flat
+    cells, or None when a cell breaks the per-cell rule of
+    :func:`_raise_first_bad_cell`. ``lo`` and ``hi`` are each column's
+    minimum and maximum; they are also the finiteness check, since a NaN
+    propagates through both and an infinity is always an extreme. New label
+    texts are given the next codes in ``codes``."""
     if cells is None:
         return None
     table = np.array(cells, dtype=object).reshape(-1, width)
@@ -490,14 +523,15 @@ def _convert(cells, width: int, numeric, label_idx: int, codes: dict):
         feats = table[:, numeric].astype(np.float64)  # float(cell), in C
     except ValueError:
         return None
-    if not np.isfinite(feats).all():
+    lo, hi = feats.min(axis=0), feats.max(axis=0)
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         return None
     texts = table[:, label_idx].tolist()
     new = set(texts).difference(codes)
     if not all(map(str.strip, new)):
         return None
     codes.update(zip(new, range(len(codes), len(codes) + len(new))))
-    return feats, np.array(list(map(codes.__getitem__, texts)), dtype=np.int32)
+    return feats, np.array(list(map(codes.__getitem__, texts)), dtype=np.int32), (lo, hi)
 
 
 def _raise_first_bad_cell(records, row: int, expected: list, label_idx: int):

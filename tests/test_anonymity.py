@@ -15,7 +15,7 @@ from privsynth.anonymity import (
     generalize,
     risk_report,
 )
-from privsynth.data import Dataset, Schema, derive_seed
+from privsynth.data import Dataset, Schema, derive_seed, load_csv, write_csv
 from privsynth.errors import UnknownColumn, ValidationError, ZeroBins
 from privsynth.noise import NoiseConfig, perturb
 from privsynth.surrogate import make_surrogate
@@ -457,6 +457,25 @@ class TestAuditTable:
         assert classes.ids.tolist() == reference_equivalence_ids(audit_table, spec).tolist()
 
 
+@pytest.fixture(scope="module")
+def audit_table_loaded(audit_table, tmp_path_factory):
+    """The audit table written and loaded back, as the audit benchmark loads it."""
+    path = tmp_path_factory.mktemp("audit") / "input.csv"
+    write_csv(audit_table, path)
+    return load_csv(path, audit_table.schema)
+
+
+@pytest.mark.parametrize("policy", AUDIT_POLICIES)
+def test_loaded_extremes_give_the_ids_of_a_reduction(audit_table_loaded, policy):
+    """The column ranges that ``load_csv`` hands on group the rows as the
+    ranges a copy of its matrix reduces to."""
+    loaded = audit_table_loaded
+    spec = audit_policy(policy, loaded.schema)
+    reduced = Dataset(loaded.schema, loaded.features.copy(), loaded.labels)
+    assert "extremes" in vars(loaded) and "extremes" not in vars(reduced)
+    assert equivalence_classes(loaded, spec).ids.tolist() == equivalence_classes(reduced, spec).ids.tolist()
+
+
 def fortran(data):
     """The same table with a column-major feature matrix, as ``load_csv`` builds it."""
     return Dataset(data.schema, np.asfortranarray(data.features), data.labels)
@@ -529,7 +548,7 @@ class TestColumnMajorLayout:
             feats[[0, later], :2] = [[first, first], [-first, -first]]
             expected = (feats.min(axis=0), feats.max(axis=0))
             for layout in (np.ascontiguousarray, np.asfortranarray):
-                lo, hi = anonymity._column_ranges(layout(feats), [0, 1, 2])
+                lo, hi = anonymity._column_ranges(table(layout(feats)), [0, 1, 2])
                 assert (lo.tobytes(), hi.tobytes()) == tuple(e.tobytes() for e in expected), (later, layout)
             spec = QuasiIdentifierSpec(("f0", "f1", "f2"), {"f0": 4, "f1": 4, "f2": 3})
             assert_both_layouts(table(feats), spec)

@@ -308,6 +308,18 @@ class TestNaiveBayes:
         queries = np.column_stack([np.full(50, 3.0), rng.normal(size=50), np.full(50, 2e-160)])
         assert wide.predict(queries) == clf.predict(queries[:, :2])
 
+    def test_floor_bytes_do_not_follow_the_layout(self):
+        # one class made constant, so its variances are the floor itself:
+        # 1e-9 times each column's variance over the whole table
+        data = make_surrogate(3000, seed=1729)
+        feats = data.features.copy()
+        mask = data.labels == data.classes()[0]
+        feats[mask] = feats[mask][0]
+        layouts = (np.ascontiguousarray(feats), np.asfortranarray(feats),
+                   np.asfortranarray(np.repeat(feats, 2, axis=0))[::2])  # a strided view
+        fits = [NaiveBayesClassifier().fit(Dataset(data.schema, f, data.labels)) for f in layouts]
+        assert [f.variances.tobytes() for f in fits[1:]] == [fits[0].variances.tobytes()] * 2
+
 
 class TestDecisionTree:
     def test_pure_data_single_leaf(self):

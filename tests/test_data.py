@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from privsynth import cli, pipeline
+from privsynth import anonymity, cli, pipeline
 from privsynth import data as data_module
 from privsynth.data import (
     Dataset,
@@ -733,6 +733,12 @@ READER_CASES = {
     "quote in range 2": lambda r: lf(replaced(r, {IN_RANGE_2: '1.0,2.0,"q,\nr"'})),
     "over-long field in range 2": lambda r: lf(replaced(r, {IN_RANGE_2: "1.0,2.0," + "b" * (SMALL_FIELD_LIMIT + 1)})),
     "non-UTF-8 byte in range 2": lambda r: lf(replaced(r, {IN_RANGE_2: "1.0,2.0,\udcff"})),
+    "nan cell in range 1": lambda r: lf(replaced(r, {IN_RANGE_1: "1.0,nan,a"})),
+    "nan cell in range 2": lambda r: lf(replaced(r, {IN_RANGE_2: "NaN,2.0,a"})),
+    "inf cell in range 1": lambda r: lf(replaced(r, {IN_RANGE_1: "inf,2.0,a"})),
+    "inf cell in range 2": lambda r: lf(replaced(r, {IN_RANGE_2: "1.0,1e999,a"})),
+    "-inf cell in range 1": lambda r: lf(replaced(r, {IN_RANGE_1: "1.0,-inf,a"})),
+    "-inf cell in range 2": lambda r: lf(replaced(r, {IN_RANGE_2: "-Infinity,2.0,a"})),
 }
 
 
@@ -934,6 +940,59 @@ class TestParallelReader:
         assert len(forks) == 1
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+XZC_SCHEMA = Schema((("x", "numeric"), ("z", "numeric"), ("c", "numeric"), ("label", "label")))
+
+
+def extreme_rows():
+    """Rows whose column x has its minimum in 0.0 (range 1) and -0.0 (range
+    2), column z its maximum in -0.0 (range 1) and 0.0 (range 2), and column
+    c one value throughout."""
+    rows = [[1 + i * 0.25, -(i + 1) / 3, 2.5] for i in range(N_ROWS)]
+    rows[IN_RANGE_1][:2] = [0.0, -0.0]
+    rows[IN_RANGE_2][:2] = [-0.0, 0.0]
+    return [",".join(map(repr, row)) + "," + READER_LABELS[i % len(READER_LABELS)]
+            for i, row in enumerate(rows)]
+
+
+class TestExtremes:
+    """A loaded table's per-column extremes, handed on from the load's
+    finiteness check, are those its matrix reduces to, and are read-only."""
+
+    @pytest.mark.parametrize("read, cpus, cells, forked", [
+        ("serial", 1, 8, 0),
+        ("two ranges", 2, 8, 1),
+        ("csv.reader", 2, 8, 1),
+        ("one chunk", 2, 4 * N_ROWS, 0),
+    ])
+    def test_load_matches_a_reduction(self, tmp_path, ranges, forks, read, cpus, cells, forked):
+        if forked and not hasattr(os, "fork"):
+            pytest.skip("the codec forks only with os.fork")
+        rows = extreme_rows()
+        if read == "csv.reader":  # a quote in range 1 hands the rest of the read to csv.reader
+            rows[IN_RANGE_1 // 2] = rows[IN_RANGE_1 // 2].rsplit(",", 1)[0] + ',"a"'
+        path = TestParallelReader().write(tmp_path, lf(rows), XZC_SCHEMA)
+        ranges(cpus, cells)
+        forks.clear()
+        loaded = load_csv(path, XZC_SCHEMA)
+        assert len(forks) == forked
+        reduced = Dataset(XZC_SCHEMA, loaded.features.copy(), loaded.labels)
+        assert [e.tolist() for e in loaded.extremes] == [e.tolist() for e in reduced.extremes]
+        assert [e.tolist() for e in loaded.extremes] == [[0.0, -N_ROWS / 3, 2.5],
+                                                         [1 + (N_ROWS - 1) * 0.25, 0.0, 2.5]]
+        for ends in loaded.extremes + reduced.extremes:
+            with pytest.raises(ValueError):
+                ends[0] = 1.0
+        # the zero extremes take the sign of the last zero, whichever path reduced them
+        ranges_of = [anonymity._column_ranges(d, [0, 1, 2]) for d in (loaded, reduced)]
+        assert [(lo.tobytes(), hi.tobytes()) for lo, hi in ranges_of] == [
+            (np.array([-0.0, -N_ROWS / 3, 2.5]).tobytes(),
+             np.array([1 + (N_ROWS - 1) * 0.25, 0.0, 2.5]).tobytes())] * 2
+
+    def test_a_table_without_rows(self):
+        lo, hi = Dataset(XY_SCHEMA, np.empty((0, 2)), np.array([], dtype=object)).extremes
+        assert (lo.tolist(), hi.tolist()) == ([np.inf] * 2, [-np.inf] * 2)
 
 
 def exit_in_child():
