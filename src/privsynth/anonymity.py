@@ -15,11 +15,11 @@ the table again.
 
 Grouping never builds the records-by-columns matrix of generalized values.
 Each binned column's bin constants are worked out once per call; then, one
-column at a time over blocks of rows, runs of binned columns are packed into
-int64 words in mixed radix and every other column becomes an int64 word that
-orders as its floats. The rows are sorted on those words, most significant
-first, and their classes read off where a word changes. Class ids are those
-of a stable ``np.lexsort`` over the generalized columns.
+whole column at a time, runs of binned columns are packed into int64 words
+in mixed radix and every other column becomes an int64 word that orders as
+its floats. The rows are sorted on those words, most significant first, and
+their classes read off where a word changes. Class ids are those of a
+stable ``np.lexsort`` over the generalized columns.
 """
 
 from __future__ import annotations
@@ -44,9 +44,6 @@ DEFAULT_BINS = 10
 
 # the bits of a float64 below its sign
 _LOW_63 = np.int64((1 << 63) - 1)
-# rows packed at once: each block-long float64 buffer is 128 KiB, so one
-# pass over a block's columns works in cache
-_BLOCK_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -408,9 +405,9 @@ def equivalence_classes(data: Dataset, spec: QuasiIdentifierSpec) -> Equivalence
     """Group records by exact (``==``) equality of their generalized QI values.
 
     The kept QI columns are packed into int64 words that order as their
-    generalized values do (see ``_layout``), a block of rows and one column
-    at a time, so no matrix of rows and columns is held: a run of binned
-    columns is summed into a float64 buffer, each bin index times its place
+    generalized values do (see ``_layout``), one whole column at a time, so
+    no matrix of rows and columns is held, only two n-long float64 buffers: a
+    run of binned columns is summed into one, each bin index times its place
     value, and every other column is keyed by ``_ordered_word``. The rows
     are sorted on the words as ``np.lexsort`` sorts the columns, the last
     kept column most significant, and a class starts at each change of
@@ -425,22 +422,20 @@ def equivalence_classes(data: Dataset, spec: QuasiIdentifierSpec) -> Equivalence
     # _stable_order adds.
     layout = _layout(radices, 1 << min(53, 62 - _index_bits(n)))
     words = [np.empty(n, dtype=np.int64) for _ in layout]
-    sums, codes = np.empty(min(n, _BLOCK_ROWS)), np.empty(min(n, _BLOCK_ROWS))
-    for start in range(0, n, _BLOCK_ROWS):
-        rows = data.features[start:start + _BLOCK_ROWS]
-        acc, code = sums[:len(rows)], codes[:len(rows)]
-        for word, (a, b, places) in zip(words, layout):
-            j, column = plan[a]
-            if places is None:  # one column, keyed by its value or its bin index
-                values = rows[:, j] if column is None else _bin_into(code, rows[:, j], column)
-                _ordered_word(values, word[start:start + len(rows)], code.view(np.int64))
-                continue
-            _bin_into(acc, rows[:, j], column)  # the least significant place is 1
-            for (j, column), place in zip(plan[a + 1:b], places[1:]):
-                _bin_into(code, rows[:, j], column)
-                code *= place
-                acc += code
-            word[start:start + len(rows)] = acc
+    acc, code = np.empty(n), np.empty(n)
+    feats = data.features
+    for word, (a, b, places) in zip(words, layout):
+        j, column = plan[a]
+        if places is None:  # one column, keyed by its value or its bin index
+            values = feats[:, j] if column is None else _bin_into(code, feats[:, j], column)
+            _ordered_word(values, word, code.view(np.int64))
+            continue
+        _bin_into(acc, feats[:, j], column)  # the least significant place is 1
+        for (j, column), place in zip(plan[a + 1:b], places[1:]):
+            _bin_into(code, feats[:, j], column)
+            code *= place
+            acc += code
+        word[...] = acc
     return EquivalenceClasses(_word_ids(words, n))
 
 

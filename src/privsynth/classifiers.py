@@ -39,12 +39,14 @@ from .errors import (
 
 
 def _queries(features, dim: int) -> np.ndarray:
-    """Query rows as a float64 ``(n, dim)`` array; one row may come as a vector.
+    """Query rows as a C-ordered float64 ``(n, dim)`` array; one row may come
+    as a vector. Sums along a row then run over contiguous attributes, so
+    their bits do not follow the caller's memory layout.
 
     Raises:
         DimensionMismatch: the rows do not have ``dim`` attributes.
     """
-    feats = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    feats = np.atleast_2d(np.ascontiguousarray(features, dtype=np.float64))
     if feats.shape[1] != dim:
         raise DimensionMismatch(f"queries have {feats.shape[1]} attributes, the model {dim}")
     return feats

@@ -21,16 +21,17 @@ stable argsort of their distances.
 
 Every search takes ``_CELLS // max(n_points, pool * d)`` query rows (at
 least one) per block. A certified block holds at most ``_CELLS`` GEMM
-values and ``_CELLS`` pool values, in work arrays each thread reuses from
-call to call; a scan block holds at most ``max(_CELLS, n_points) x d``
-differences. Memory is therefore bounded by ``_CELLS`` or one row of all
-points, never by n_queries x n_points.
+values and ``_CELLS`` pool values; a scan block holds at most
+``max(_CELLS, n_points) x d`` differences. Memory is therefore bounded by
+``_CELLS`` or one row of all points, never by n_queries x n_points. A
+certified search allocates one block's GEMM values and their partitioned
+copy once and fills them for every block, so its blocks fault in no fresh
+pages; they are freed when the search returns, and nothing is kept between
+calls. Queries and points are read as C-ordered arrays, so the attribute
+axis is contiguous and the bits do not depend on the caller's memory layout.
 """
 
 from __future__ import annotations
-
-import math
-import threading
 
 import numpy as np
 
@@ -44,8 +45,6 @@ _GEMM_MACS = 1 << 18
 _U = np.finfo(np.float64).eps / 2  # unit roundoff
 _ETA = np.finfo(np.float64).smallest_subnormal
 _SCALE_MAX = np.finfo(np.float64).max / 4  # no intermediate can overflow below this
-
-_WORK = threading.local()  # the certified search's reused work arrays (``_buffer``)
 
 
 def _minkowski(diff, q):
@@ -112,14 +111,14 @@ def nearest(queries, points, k: int, q: float = 2.0, exclude_self: bool = False)
     and never appears among its own neighbours. The caller ensures
     ``1 <= k <= n_points`` (``k < n_points`` with ``exclude_self``).
     """
-    queries = np.asarray(queries, dtype=np.float64)
-    points = np.asarray(points, dtype=np.float64)
+    queries = np.ascontiguousarray(queries, dtype=np.float64)
+    points = np.ascontiguousarray(points, dtype=np.float64)
     (n_q, d), n = queries.shape, points.shape[0]
     indices = np.empty((n_q, k), dtype=np.intp)
     distances = np.empty((n_q, k), dtype=np.float64)
     pool = k + _POOL_EXTRA
-    search = _CertifiedSearch(points, k, pool) if q == 2.0 and pool < n - exclude_self else None
     step = max(1, _CELLS // max(n, pool * d))
+    search = _CertifiedSearch(points, k, pool, step) if q == 2.0 and pool < n - exclude_self else None
     for start in range(0, n_q, step):
         block = queries[start:start + step]
         own = np.arange(start, start + block.shape[0]) if exclude_self else None
@@ -128,35 +127,23 @@ def nearest(queries, points, k: int, q: float = 2.0, exclude_self: bool = False)
     return indices, distances
 
 
-def _buffer(name, shape, dtype=np.float64):
-    """A work array of ``shape`` that this thread keeps between searches, so a
-    call does not fault in fresh pages for it. Arrays beyond ``_CELLS`` values
-    are not kept. The contents never leave the search that fills them."""
-    size = math.prod(shape)
-    if size > _CELLS:
-        return np.empty(shape, dtype)
-    buf = getattr(_WORK, name, None)
-    if buf is None or buf.size < size:
-        buf = np.empty(_CELLS, dtype)
-        setattr(_WORK, name, buf)
-    return buf[:size].reshape(shape)
-
-
 class _CertifiedSearch:
-    """The q = 2 certified search against fixed ``points``. Each call takes a
-    block of queries, finds each query's pool with a GEMM (in products of at
-    most ``_GEMM_MACS`` multiply-adds), recomputes, ranks and certifies the
-    pool, and scans the rows that fail."""
+    """The q = 2 certified search against fixed C-ordered ``points``. Each
+    call takes a block of queries, finds each query's pool with a GEMM (in
+    products of at most ``_GEMM_MACS`` multiply-adds), recomputes, ranks and
+    certifies the pool, and scans the rows that fail. Blocks hold at most
+    ``step`` queries and share its two GEMM work arrays."""
 
-    def __init__(self, points, k, pool):
+    def __init__(self, points, k, pool, step):
         self.points, self.k, self.pool = points, k, pool
-        self.neg2 = np.multiply(points, -2.0, out=_buffer("neg2", points.shape)).T
+        self.neg2 = np.multiply(points, -2.0).T
         self.ny = np.einsum("ij,ij->i", points, points)
         self.ny_max = self.ny.max()
+        self.h, self.part = np.empty((2, step, points.shape[0]))  # one block's GEMM values
 
     def __call__(self, block, own):
         (b, d), n, pool = block.shape, self.points.shape[0], self.pool
-        h = _buffer("gemm", (b, n))
+        h, part = self.h[:b], self.part[:b]
         cols = max(1, _GEMM_MACS // (b * d))
         with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the certificate
             for lo in range(0, n, cols):
@@ -166,17 +153,14 @@ class _CertifiedSearch:
             h[np.arange(b), own] = np.inf
         # the pool: GEMM values below each row's (pool+1)-th smallest, which
         # bounds every value outside it from below
-        part = _buffer("part", (b, n))
         np.copyto(part, h)
         part.partition(pool, axis=1)
-        beyond = part[:, pool].copy()
-        mask = np.less(h, beyond[:, None], out=_buffer("mask", (b, n), bool))
-        row, col = np.divmod(np.flatnonzero(mask), n)
+        beyond = part[:, pool]
+        row, col = np.divmod(np.flatnonzero(h < beyond[:, None]), n)
         count = np.bincount(row, minlength=b)  # below pool where a row ties at its cut
         cand = np.zeros((b, pool), dtype=np.intp)
         cand[row, np.arange(row.size) - (np.cumsum(count) - count)[row]] = col
-        diff = np.take(self.points, cand, axis=0, out=_buffer("pool", (b, pool, d)),
-                       mode="clip")
+        diff = np.take(self.points, cand, axis=0)
         ref = _minkowski(np.subtract(block[:, None, :], diff, out=diff), 2.0)
         ref[np.arange(pool) >= count[:, None]] = np.inf  # empty slots sort last
         # each row's candidates sit in column order, so a stable sort by

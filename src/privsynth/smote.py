@@ -14,10 +14,11 @@ parallel execution orders.
 The draws are defined by a scalar loop, ``_record_draws``: record j's
 stream ``default_rng([seed, j])`` gives a neighbour and then a gap for each
 of its synthetic rows. ``_draws`` takes the same values in bulk, as one
-block of raw PCG64 words per record decoded by array arithmetic the way
-``Generator.integers`` and ``Generator.random`` decode them; a record whose
-bounded draw would be rejected and redrawn, and any call whose spot-checked
-record differs from the scalar loop, is drawn by the loop itself.
+row of raw PCG64 words per record, all decoded at once by array arithmetic
+the way ``Generator.integers`` and ``Generator.random`` decode them; a
+record whose bounded draw would be rejected and redrawn, and any call whose
+spot-checked record differs from the scalar loop, is drawn by the loop
+itself.
 """
 
 from __future__ import annotations
@@ -122,10 +123,6 @@ def nearest_neighbors(minority: Dataset, s: int, q: float = 2.0) -> NeighborTabl
     return NeighborTable(*nearest(feats, feats, s, q, exclude_self=True))
 
 
-# raw words decoded at once: every temporary of a block stays below 128 KiB,
-# from which glibc maps an allocation and, once it is freed, raises that
-# threshold for the rest of the process
-_DRAW_WORDS = 1 << 13
 # Generator.random's double: the top 53 bits of a word, scaled by 2**-53
 _GAP_SCALE = 1.0 / (1 << 53)
 
@@ -177,12 +174,12 @@ def _draws(seed: int, m: int, per_record: int, s: int) -> tuple:
     """``(m, per_record)`` arrays of neighbour positions and gaps, those of
     ``_record_draws`` for records 0..m-1.
 
-    Each record's stream gives one ``random_raw`` block, and the blocks of
-    many records are decoded at once (``_decode``). The values are
-    ``_record_draws``' own, not an approximation: a record that ``_decode``
-    flags is drawn by ``_record_draws``, and so is every record if the
-    first record the decode kept differs from ``_record_draws`` (a numpy
-    whose ``Generator`` decodes otherwise). A range of 2**32 or more is
+    Each record's stream gives one row of ``random_raw`` words, and one
+    ``_decode`` call decodes the ``(m, width)`` words of all records. The
+    values are ``_record_draws``' own, not an approximation: a record that
+    ``_decode`` flags is drawn by ``_record_draws``, and so is every record
+    if the first record the decode kept differs from ``_record_draws`` (a
+    numpy whose ``Generator`` decodes otherwise). A range of 2**32 or more is
     drawn from whole words by another method and always takes the loop.
     """
     nn = np.empty((m, per_record), dtype=np.intp)
@@ -190,20 +187,13 @@ def _draws(seed: int, m: int, per_record: int, s: int) -> tuple:
     redraw = range(m)
     if m and per_record and s < 1 << 32:
         width = per_record + (per_record + 1) // 2 if s > 1 else per_record
-        block = max(1, _DRAW_WORDS // width)
-        words = np.empty((block, width), dtype=np.uint64)
-        flagged = []
-        for start in range(0, m, block):
-            stop = min(start + block, m)
-            for i, j in enumerate(range(start, stop)):
-                words[i] = np.random.PCG64([seed, j]).random_raw(width)
-            nn[start:stop], gap[start:stop], rejected = _decode(words[:stop - start], per_record, s)
-            flagged.extend((start + np.flatnonzero(rejected)).tolist())
-        kept = np.ones(m, dtype=bool)
-        kept[flagged] = False
-        redraw = flagged
-        if kept.any():
-            j = int(np.argmax(kept))
+        words = np.empty((m, width), dtype=np.uint64)
+        for j in range(m):
+            words[j] = np.random.PCG64([seed, j]).random_raw(width)
+        nn[...], gap[...], rejected = _decode(words, per_record, s)
+        redraw = np.flatnonzero(rejected).tolist()
+        if not rejected.all():
+            j = int(np.argmin(rejected))
             check_nn, check_gap = _record_draws(seed, j, per_record, s)
             if check_nn.tobytes() != nn[j].tobytes() or check_gap.tobytes() != gap[j].tobytes():
                 redraw = range(m)

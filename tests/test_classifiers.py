@@ -545,6 +545,50 @@ class TestDecisionTree:
             DecisionTreeClassifier().fit(table(np.empty((0, 1)), []))
 
 
+def layouts(a):
+    """``a`` as a C-ordered array, a column-major one and a strided view."""
+    return [np.ascontiguousarray(a), np.asfortranarray(a),
+            np.asfortranarray(np.repeat(a, 2, axis=0))[::2]]
+
+
+class TestLayout:
+    """Each classifier fits the same model and predicts the same labels
+    whatever the memory layout of its training table and of its queries."""
+
+    MODELS = {
+        "knn-q1": lambda: KnnClassifier(1, 1.0),
+        "knn-q2": lambda: KnnClassifier(1, 2.0),
+        "knn-q3": lambda: KnnClassifier(1, 3.0),
+        "nb": NaiveBayesClassifier,
+        "dt": DecisionTreeClassifier,
+    }
+
+    @pytest.fixture(scope="class")
+    def mirrored(self):
+        # class "b" holds class "a"'s rows reversed: a palindromic query is as
+        # far from a row as from its mirror, and scores both classes alike, in
+        # exact arithmetic, so which wins rests on the order of a 23-term sum
+        rng = np.random.default_rng(4)
+        rows = rng.normal(size=(200, 23))
+        half = rng.normal(size=(500, 12))
+        return (np.vstack([rows, rows[:, ::-1]]), ["a"] * 200 + ["b"] * 200,
+                np.hstack([half, half[:, 10::-1]]))
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_fit_and_predict(self, mirrored, name):
+        feats, labels, queries = mirrored
+        models = [self.MODELS[name]().fit(table(f, labels)) for f in layouts(feats)]
+        want = models[0].predict(queries)
+        for model in models:
+            if name == "nb":
+                for attr in ("priors", "means", "variances"):
+                    assert getattr(model, attr).tobytes() == getattr(models[0], attr).tobytes()
+            elif name == "dt":
+                assert_same_tree(model.model.root, models[0].model.root)
+            for x in layouts(queries):
+                assert model.predict(x) == want
+
+
 @pytest.mark.parametrize("width", [1, 3], ids=["d-1", "d+1"])
 @pytest.mark.parametrize("name", ["knn", "nb", "dt"])
 def test_predict_rejects_wrong_width(name, width):

@@ -196,6 +196,48 @@ def test_only_nan_query_rows_fall_back(monkeypatch):
     assert sum(rejected) == np.isnan(queries).any(axis=1).sum() > 0
 
 
+def _mirrored():
+    # each point and its reversed copy lie equally far from a palindromic
+    # query, so the ranking of every such pair rests on the last bit of a
+    # 23-term sum, which the summation order decides
+    rng = np.random.default_rng(4)
+    rows = rng.normal(size=(150, 23))
+    half = rng.normal(size=(120, 12))
+    return np.hstack([half, half[:, 10::-1]]), np.vstack([rows, rows[:, ::-1]])
+
+
+def layouts(a):
+    """``a`` as a C-ordered array, a column-major one and a strided view."""
+    return [np.ascontiguousarray(a), np.asfortranarray(a),
+            np.asfortranarray(np.repeat(a, 2, axis=0))[::2]]
+
+
+@pytest.mark.parametrize("exclude_self", [False, True], ids=["cross", "self"])
+@pytest.mark.parametrize("q, scan", [(1.0, True), (2.0, False), (2.0, True), (3.0, True)],
+                         ids=["q1", "q2", "q2-scan", "q3"])
+def test_bits_do_not_follow_the_layout(q, scan, exclude_self, monkeypatch):
+    if q == 2.0 and scan:  # every row falls back to the scan
+        monkeypatch.setattr(distance, "_certified", lambda nx, *args: np.zeros(len(nx), dtype=bool))
+    queries, points = _mirrored()
+    want = reference(points if exclude_self else queries, points, 3, q, exclude_self)
+    for p in layouts(points):
+        for x in [p] if exclude_self else layouts(queries):
+            assert_identical(nearest(x, p, 3, q, exclude_self), want)
+
+
+def test_a_search_keeps_no_memory():
+    rng = np.random.default_rng(11)
+    queries, points = rng.normal(size=(900, 23)), rng.normal(size=(2800, 23))
+    tracemalloc.start()
+    try:
+        found = nearest(queries, points, 3), nearest(points, points, 3, exclude_self=True)
+        del found
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 64 * 2**10
+
+
 def test_memory_does_not_grow_with_queries():
     # a full 20000 x 2000 distance matrix would take 320 MB on its own
     rng = np.random.default_rng(8)

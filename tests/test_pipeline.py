@@ -23,7 +23,7 @@ from privsynth.pipeline import (
     run_pipeline,
     run_sweep,
 )
-from privsynth.smote import SmoteConfig, synthetic_count
+from privsynth.smote import SmoteConfig, run_smote, synthetic_count
 from privsynth.surrogate import make_surrogate
 
 
@@ -167,6 +167,48 @@ class TestRunPipeline:
             assert info.value.stage == "perturb"
             assert not (tmp_path / "leak").exists()  # the guard runs before any write
         assert forks == []  # and before the writer is forked
+
+
+class TestLayout:
+    """Each stage gives the same bytes for a column-major table, or a strided
+    view, as for a C-ordered one; ``load_csv`` returns a column-major table."""
+
+    @pytest.fixture(scope="class")
+    def layouts(self, small_table):
+        data, _, _ = small_table
+        feats = data.features
+        return [Dataset(data.schema, f, data.labels) for f in (
+            np.ascontiguousarray(feats),
+            np.asfortranarray(feats),
+            np.asfortranarray(np.repeat(feats, 2, axis=0))[::2],  # a strided view
+        )]
+
+    def test_stratified_split(self, layouts):
+        parts = [stratified_split(d, 0.3, seed=6) for d in layouts]
+        for train, test in parts[1:]:
+            for got, want in zip((train, test), parts[0]):
+                assert got.features.tobytes() == want.features.tobytes()
+                assert got.labels.tolist() == want.labels.tolist()
+
+    def test_run_smote(self, layouts):
+        merged = [run_smote(d, 12, SmoteConfig(250, 3, seed=8)).features for d in layouts]
+        assert [m.tobytes() for m in merged[1:]] == [merged[0].tobytes()] * 2
+
+    def test_write_csv(self, layouts, tmp_path):
+        written = []
+        for i, d in enumerate(layouts):
+            write_csv(d, tmp_path / f"{i}.csv")
+            written.append((tmp_path / f"{i}.csv").read_bytes())
+        assert written[1:] == [written[0]] * 2
+
+    def test_run_stages(self, small_table, layouts, tmp_path):
+        cfg = config(small_table, tmp_path, classifiers=("knn", "nb", "dt"))
+        files = ["released.csv", "risk.json", "eval_knn.json", "eval_nb.json", "eval_dt.json"]
+        runs = []
+        for i, d in enumerate(layouts):
+            pipeline.run_stages(d, cfg, 77, tmp_path / str(i))
+            runs.append([(tmp_path / str(i) / name).read_bytes() for name in files])
+        assert runs[1:] == [runs[0]] * 2
 
 
 def rows(feats, labels):

@@ -242,8 +242,8 @@ class TestBulkDraws:
             assert_literal_draws(seed * 2654435761 + 3, 9, per_record, s)
 
     def test_blocks_of_records(self):
-        # 20 rows a record make 30 words: a block of 273 records, so 600
-        # records take three blocks
+        # 20 rows a record make 30 words, so one decode takes a 600 x 30
+        # array of words, over 128 KiB
         assert_literal_draws(derive_seed(5, "blocks"), 600, 20, 5)
 
     @pytest.mark.parametrize("s", [2**31 + 1, 2**32 - 1, 2**32, 2**33])
